@@ -22,6 +22,9 @@ double endpoint_efficiency(const net::BandwidthModelParams& p, double headroom) 
   return p.min_efficiency + (1.0 - p.min_efficiency) * ramp;
 }
 
+bool finite_positive(double x) { return std::isfinite(x) && x > 0.0; }
+bool finite_non_negative(double x) { return std::isfinite(x) && x >= 0.0; }
+
 double fresh_dirty_pages(double working_set, double rate, double tau) {
   if (working_set <= 0.0 || rate <= 0.0 || tau <= 0.0) return 0.0;
   return working_set * (1.0 - std::exp(-rate * tau / working_set));
@@ -30,10 +33,21 @@ double fresh_dirty_pages(double working_set, double rate, double tau) {
 }  // namespace
 
 MigrationForecast forecast_timings(const MigrationScenario& sc) {
-  WAVM3_REQUIRE(sc.vm_mem_bytes > 0.0, "scenario needs a VM memory size");
-  WAVM3_REQUIRE(sc.link_payload_rate > 0.0, "scenario needs a link rate");
-  WAVM3_REQUIRE(sc.source_cpu_capacity > 0.0 && sc.target_cpu_capacity > 0.0,
+  // Every numeric field must be finite: a NaN or inf would otherwise
+  // flow through the round loop into a NaN (or finite but wrong)
+  // energy instead of an error.
+  WAVM3_REQUIRE(finite_positive(sc.vm_mem_bytes), "scenario needs a VM memory size");
+  WAVM3_REQUIRE(finite_positive(sc.link_payload_rate), "scenario needs a link rate");
+  WAVM3_REQUIRE(finite_positive(sc.source_cpu_capacity) &&
+                    finite_positive(sc.target_cpu_capacity),
                 "host capacities must be positive");
+  WAVM3_REQUIRE(finite_non_negative(sc.vm_cpu_vcpus) &&
+                    finite_non_negative(sc.vm_dirty_pages_per_s) &&
+                    finite_non_negative(sc.vm_working_set_pages),
+                "VM vCPUs, dirty rate and working set must be finite and non-negative");
+  WAVM3_REQUIRE(finite_non_negative(sc.source_cpu_load) &&
+                    finite_non_negative(sc.target_cpu_load),
+                "host loads must be finite and non-negative");
 
   const auto& cfg = sc.migration;
   MigrationForecast fc;

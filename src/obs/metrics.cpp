@@ -75,9 +75,10 @@ Histogram::Histogram(double first_bound, double growth, int buckets) {
 
 std::size_t Histogram::bucket_index(double v) const {
   if (exponential_) {
-    // Same log-grid arithmetic (and therefore the same edge rounding)
-    // as the original serve::LatencyHistogram, so the bridged serve
-    // metrics stay bit-compatible.
+    // One log per observation instead of a binary search over the
+    // bounds. The edge rounding of this arithmetic is what the serve
+    // latency quantiles are pinned to (see the ObsHistogram tests), so
+    // it must not be replaced by a search over bounds_.
     if (v <= first_bound_) return 0;
     const auto idx = static_cast<std::size_t>(std::log(v / first_bound_) * inv_log_growth_) + 1;
     return std::min(idx, bounds_.size());

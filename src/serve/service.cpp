@@ -7,6 +7,7 @@
 #include <thread>
 #include <utility>
 
+#include "obs/clock.hpp"
 #include "obs/export.hpp"
 #include "obs/trace.hpp"
 #include "serve/sim_backend.hpp"
@@ -16,6 +17,41 @@
 
 namespace wavm3::serve {
 
+namespace {
+
+/// The serve latency grid: 400 buckets growing geometrically by 1.046
+/// from 1 us, i.e. ~4.6% relative resolution over [1 us, ~88 s).
+constexpr double kLatencyFirstBucketNs = 1000.0;
+constexpr double kLatencyGrowth = 1.046;
+constexpr int kLatencyBuckets = 400;
+
+obs::Histogram& endpoint_latency(obs::MetricRegistry& reg, const char* endpoint) {
+  return reg.exponential_histogram("serve_endpoint_latency_ns",
+                                   "End-to-end request latency per endpoint",
+                                   kLatencyFirstBucketNs, kLatencyGrowth, kLatencyBuckets,
+                                   {{"endpoint", endpoint}});
+}
+
+/// Scoped stopwatch: observes the elapsed obs-clock time into an
+/// endpoint histogram on destruction.
+class EndpointTimer {
+ public:
+  explicit EndpointTimer(obs::Histogram& histogram)
+      : histogram_(histogram), start_ns_(obs::now_ns()) {}
+  ~EndpointTimer() {
+    const std::uint64_t end_ns = obs::now_ns();
+    histogram_.observe(static_cast<double>(end_ns > start_ns_ ? end_ns - start_ns_ : 0));
+  }
+  EndpointTimer(const EndpointTimer&) = delete;
+  EndpointTimer& operator=(const EndpointTimer&) = delete;
+
+ private:
+  obs::Histogram& histogram_;
+  std::uint64_t start_ns_;
+};
+
+}  // namespace
+
 PredictionService::PredictionService(const core::Wavm3Model& model, ServiceConfig config)
     : PredictionService(std::make_shared<const core::Wavm3Model>(model), config) {}
 
@@ -23,7 +59,6 @@ PredictionService::PredictionService(std::shared_ptr<const core::Wavm3Model> mod
                                      ServiceConfig config)
     : config_(config),
       store_(std::move(model)),
-      metrics_(&obs_metrics_),
       breaker_(config.breaker),
       deadline_expired_(obs_metrics_.counter("serve_deadline_expired_total",
                                              "Requests that spent their deadline queued")),
@@ -58,7 +93,8 @@ PredictionService::PredictionService(std::shared_ptr<const core::Wavm3Model> mod
           {1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0})),
       h_batch_item_latency_(obs_metrics_.exponential_histogram(
           "serve_batch_item_latency_ns",
-          "Amortized per-item latency of batched evaluations", 1000.0, 1.046, 400)),
+          "Amortized per-item latency of batched evaluations", kLatencyFirstBucketNs,
+          kLatencyGrowth, kLatencyBuckets)),
       feedback_accepted_(obs_metrics_.counter("serve_feedback_accepted_total",
                                               "Feedback samples handed to the sink")),
       feedback_dropped_(obs_metrics_.counter(
@@ -74,6 +110,10 @@ PredictionService::PredictionService(std::shared_ptr<const core::Wavm3Model> mod
           "stream_revision_delta_watts",
           "Per-revision live-forecast change, as mean watts over the expected span",
           0.01, 1.6, 44)),
+      h_predict_latency_(endpoint_latency(obs_metrics_, "predict")),
+      h_submit_latency_(endpoint_latency(obs_metrics_, "submit")),
+      h_batch_latency_(endpoint_latency(obs_metrics_, "predict_batch")),
+      started_ns_(obs::now_ns()),
       stream_registry_(config.stream),
       pool_(ThreadPoolConfig{config.threads, config.queue_capacity}) {
   WAVM3_REQUIRE(config_.batch_max_size > 0, "batch_max_size must be positive");
@@ -88,9 +128,6 @@ PredictionService::PredictionService(std::shared_ptr<const core::Wavm3Model> mod
         ShardedLruCache<ScenarioKey, core::MigrationForecast, ScenarioKeyHash>>(
         config_.cache_capacity, std::max<std::size_t>(1, config_.cache_shards));
   }
-  ep_predict_ = metrics_.register_endpoint("predict");
-  ep_submit_ = metrics_.register_endpoint("submit");
-  ep_batch_ = metrics_.register_endpoint("predict_batch");
 }
 
 PredictionService::~PredictionService() { shutdown(DrainMode::kDrain); }
@@ -191,7 +228,7 @@ core::MigrationForecast PredictionService::predict(const core::MigrationScenario
   // No span of its own: "evaluate" covers the whole call and carries
   // the source annotation, so a second span would only double the
   // hot-path tracing cost.
-  const LatencyTimer timer(metrics_, ep_predict_);
+  const EndpointTimer timer(h_predict_latency_);
   return evaluate(sc);
 }
 
@@ -199,7 +236,7 @@ void PredictionService::run_job(const core::MigrationScenario& scenario, double 
                                 std::chrono::steady_clock::time_point enqueued,
                                 std::uint64_t enqueued_ns,
                                 std::promise<core::MigrationForecast>& promise) {
-  const LatencyTimer timer(metrics_, ep_submit_);
+  const EndpointTimer timer(h_submit_latency_);
   {
     obs::Tracer& tr = obs::tracer();
     if (tr.enabled()) {
@@ -250,7 +287,7 @@ std::future<core::MigrationForecast> PredictionService::submit(
     const CoefficientStore::Snapshot snap = store_.snapshot();
     if (std::optional<core::MigrationForecast> hit =
             cache_->peek(ScenarioKey(snap.version, canonical))) {
-      const LatencyTimer timer(metrics_, ep_submit_);
+      const EndpointTimer timer(h_submit_latency_);
       std::promise<core::MigrationForecast> ready;
       ready.set_value(*hit);
       return ready.get_future();
@@ -283,7 +320,7 @@ std::optional<std::future<core::MigrationForecast>> PredictionService::try_submi
     const CoefficientStore::Snapshot snap = store_.snapshot();
     if (std::optional<core::MigrationForecast> hit =
             cache_->peek(ScenarioKey(snap.version, canonical))) {
-      const LatencyTimer timer(metrics_, ep_submit_);
+      const EndpointTimer timer(h_submit_latency_);
       std::promise<core::MigrationForecast> ready;
       ready.set_value(*hit);
       return ready.get_future();
@@ -361,7 +398,7 @@ void PredictionService::predict_batch_results(
     std::span<const core::MigrationScenario> scenarios, std::span<BatchItem> results) {
   WAVM3_REQUIRE(results.size() == scenarios.size(),
                 "predict_batch: results size mismatch");
-  const LatencyTimer timer(metrics_, ep_batch_);
+  const EndpointTimer timer(h_batch_latency_);
   if (scenarios.empty()) return;
 
   // One snapshot for the whole batch: every miss is computed — and
@@ -637,13 +674,31 @@ ServiceStats PredictionService::stats() const {
   s.resilience.breaker_open_transitions = breaker_.open_transitions();
   s.resilience.breaker_rejections = breaker_.rejections();
   s.resilience.breaker_state = to_string(breaker_.state());
-  s.endpoints = metrics_.reports();
   return s;
 }
 
 std::string PredictionService::metrics_table() const {
   const ServiceStats s = stats();
-  std::string out = metrics_.render_table();
+  const std::uint64_t now = obs::now_ns();
+  const double elapsed_s =
+      now > started_ns_ ? static_cast<double>(now - started_ns_) / 1e9 : 0.0;
+  std::string out = util::format("%-24s %10s %12s %10s %10s %10s %10s\n", "endpoint",
+                                 "requests", "qps", "mean[us]", "p50[us]", "p95[us]",
+                                 "p99[us]");
+  const std::pair<const char*, const obs::Histogram*> endpoints[] = {
+      {"predict", &h_predict_latency_},
+      {"submit", &h_submit_latency_},
+      {"predict_batch", &h_batch_latency_}};
+  for (const auto& [name, histogram] : endpoints) {
+    const obs::HistogramSnapshot h = histogram->snapshot();
+    const double n = static_cast<double>(h.count);
+    out += util::format("%-24s %10llu %12.1f %10.1f %10.1f %10.1f %10.1f\n", name,
+                        static_cast<unsigned long long>(h.count),
+                        elapsed_s > 0.0 ? n / elapsed_s : 0.0,
+                        h.count == 0 ? 0.0 : h.sum / n / 1e3,
+                        h.quantile_upper_bound(0.50) / 1e3, h.quantile_upper_bound(0.95) / 1e3,
+                        h.quantile_upper_bound(0.99) / 1e3);
+  }
   out += util::format(
       "\ncache    : %llu hits, %llu misses (%.1f%% hit rate), %llu insertions, "
       "%llu evictions\n",
@@ -668,40 +723,6 @@ std::string PredictionService::metrics_table() const {
       static_cast<unsigned long long>(r.deadline_expired),
       static_cast<unsigned long long>(r.shed),
       static_cast<unsigned long long>(r.rejected_after_shutdown));
-  return out;
-}
-
-std::string PredictionService::metrics_csv() const {
-  const ServiceStats s = stats();
-  std::string out = metrics_.render_csv();
-  out += "gauge,value\n";
-  out += util::format("cache_hits,%llu\n", static_cast<unsigned long long>(s.cache.hits));
-  out += util::format("cache_misses,%llu\n",
-                      static_cast<unsigned long long>(s.cache.misses));
-  out += util::format("cache_hit_rate,%.6f\n", s.cache.hit_rate());
-  out += util::format("cache_evictions,%llu\n",
-                      static_cast<unsigned long long>(s.cache.evictions));
-  out += util::format("queue_depth,%zu\n", s.queue_depth);
-  out += util::format("threads,%d\n", s.threads);
-  out += util::format("coefficient_version,%llu\n",
-                      static_cast<unsigned long long>(s.model_version));
-  const ResilienceStats& r = s.resilience;
-  out += util::format("backend_failures,%llu\n",
-                      static_cast<unsigned long long>(r.backend_failures));
-  out += util::format("backend_retries,%llu\n",
-                      static_cast<unsigned long long>(r.backend_retries));
-  out += util::format("degraded_to_closed_form,%llu\n",
-                      static_cast<unsigned long long>(r.degraded_to_closed_form));
-  out += util::format("deadline_expired,%llu\n",
-                      static_cast<unsigned long long>(r.deadline_expired));
-  out += util::format("shed,%llu\n", static_cast<unsigned long long>(r.shed));
-  out += util::format("rejected_after_shutdown,%llu\n",
-                      static_cast<unsigned long long>(r.rejected_after_shutdown));
-  out += util::format("breaker_open_transitions,%llu\n",
-                      static_cast<unsigned long long>(r.breaker_open_transitions));
-  out += util::format("breaker_rejections,%llu\n",
-                      static_cast<unsigned long long>(r.breaker_rejections));
-  out += std::string("breaker_state,") + r.breaker_state + "\n";
   return out;
 }
 

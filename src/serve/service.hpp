@@ -37,7 +37,6 @@
 #include "serve/coeff_store.hpp"
 #include "serve/errors.hpp"
 #include "serve/lru_cache.hpp"
-#include "serve/metrics.hpp"
 #include "serve/scenario_key.hpp"
 #include "serve/thread_pool.hpp"
 #include "stream/session.hpp"
@@ -147,7 +146,6 @@ struct ServiceStats {
   int threads = 0;
   std::uint64_t model_version = 0;
   ResilienceStats resilience;
-  std::vector<EndpointReport> endpoints;
 };
 
 class PredictionService {
@@ -320,9 +318,6 @@ class PredictionService {
   /// gauges.
   std::string metrics_table() const;
 
-  /// Machine-readable CSV of the same report.
-  std::string metrics_csv() const;
-
   /// Prometheus text exposition of the service's metric registry
   /// (endpoint latency histograms, resilience counters, cache/queue
   /// gauges).
@@ -407,15 +402,10 @@ class PredictionService {
   CoefficientStore store_;
   std::unique_ptr<ShardedLruCache<ScenarioKey, core::MigrationForecast, ScenarioKeyHash>>
       cache_;  ///< null when cache_capacity == 0
-  obs::MetricRegistry obs_metrics_;  ///< backs metrics_ and the counters below
-  MetricsRegistry metrics_;
-  int ep_predict_ = -1;
-  int ep_submit_ = -1;
-  int ep_batch_ = -1;
+  obs::MetricRegistry obs_metrics_;  ///< every metric below lives here
   CircuitBreaker breaker_;
   // Resilience counters, registered in obs_metrics_ so they show up in
-  // the Prometheus/JSON exports; stats()/metrics_csv() read the same
-  // storage, keeping the legacy schema.
+  // the Prometheus/JSON exports; stats() reads the same storage.
   obs::Counter& deadline_expired_;
   obs::Counter& shed_;
   obs::Counter& rejected_after_shutdown_;
@@ -440,6 +430,13 @@ class PredictionService {
   obs::Gauge& g_stream_sessions_;    ///< open stream sessions
   obs::Counter& stream_samples_;     ///< samples accepted by submit_sample()
   obs::Histogram& h_stream_revision_delta_;  ///< per-revision forecast change, watts
+  // serve_endpoint_latency_ns{endpoint=...}: end-to-end latency of each
+  // entry point. Registered after the stream metrics, so they come
+  // last in the exports.
+  obs::Histogram& h_predict_latency_;
+  obs::Histogram& h_submit_latency_;
+  obs::Histogram& h_batch_latency_;
+  std::uint64_t started_ns_;  ///< obs-clock construction time, the QPS denominator
   std::mutex feedback_mutex_;
   std::shared_ptr<const FeedbackSink> feedback_sink_;  ///< null = no consumer
   std::atomic<std::uint64_t> backoff_ticket_{0};

@@ -95,17 +95,22 @@ Simulator::PeriodicHandle Simulator::schedule_periodic(double start, double peri
   PeriodicHandle handle;
   handle.alive_ = std::make_shared<bool>(true);
 
-  // The tick closure reschedules itself while the handle is alive.
-  auto alive = handle.alive_;
-  auto tick = std::make_shared<Callback>();
-  auto shared_fn = std::make_shared<Callback>(std::move(fn));
-  *tick = [this, alive, period, tick, shared_fn]() {
-    if (!*alive) return;
-    (*shared_fn)();
-    if (!*alive) return;
-    schedule_in(period, *tick);
+  // Each tick reschedules a copy of itself while the handle is alive.
+  // It must not own a pointer to itself: that cycle would keep the
+  // callback alive after cancellation and past the simulator's end.
+  struct Tick {
+    Simulator* sim;
+    std::shared_ptr<bool> alive;
+    double period;
+    std::shared_ptr<Callback> fn;  ///< shared, so a stateful callback keeps its state
+    void operator()() const {
+      if (!*alive) return;
+      (*fn)();
+      if (!*alive) return;
+      sim->schedule_in(period, *this);
+    }
   };
-  schedule_at(start, *tick);
+  schedule_at(start, Tick{this, handle.alive_, period, std::make_shared<Callback>(std::move(fn))});
   return handle;
 }
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "core/calibration.hpp"
 #include "core/phase_eval.hpp"
@@ -316,6 +317,23 @@ TEST(Planner, RejectsInvalidScenarios) {
   MigrationScenario sc = base_scenario();
   sc.vm_mem_bytes = 0.0;
   EXPECT_THROW(forecast_timings(sc), util::ContractError);
+
+  // Non-finite or out-of-range inputs throw instead of pricing to a
+  // NaN or a finite but wrong energy.
+  constexpr double nan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double inf = std::numeric_limits<double>::infinity();
+  const std::pair<const char*, void (*)(MigrationScenario&)> invalid[] = {
+      {"NaN dirty rate", [](MigrationScenario& s) { s.vm_dirty_pages_per_s = nan; }},
+      {"infinite memory", [](MigrationScenario& s) { s.vm_mem_bytes = inf; }},
+      {"infinite link rate", [](MigrationScenario& s) { s.link_payload_rate = inf; }},
+      {"negative dirty rate", [](MigrationScenario& s) { s.vm_dirty_pages_per_s = -5000.0; }},
+      {"NaN source load", [](MigrationScenario& s) { s.source_cpu_load = nan; }},
+  };
+  for (const auto& [what, corrupt] : invalid) {
+    MigrationScenario bad = base_scenario();
+    corrupt(bad);
+    EXPECT_THROW(forecast_timings(bad), util::ContractError) << what;
+  }
 }
 
 }  // namespace

@@ -151,8 +151,9 @@ TEST(ObsHistogram, InterpolatedQuantileWalksInsideBucket) {
 }
 
 TEST(ObsHistogram, ConservativeQuantileMatchesLegacyServeRule) {
-  // Reference implementation of the rule serve/metrics.cpp has always
-  // used: upper edge of the bucket holding the ceil(q*n)-th recording.
+  // Reference implementation of the rule the serve latency table has
+  // always used: upper edge of the bucket holding the ceil(q*n)-th
+  // recording.
   MetricRegistry reg;
   Histogram& h = reg.exponential_histogram("lat_ns", "latency", 1000.0, 1.046, 400);
   std::vector<double> values;

@@ -6,6 +6,7 @@
 // run meaningfully under ThreadSanitizer.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -19,10 +20,9 @@
 
 #include "core/coeff_io.hpp"
 #include "core/planner.hpp"
-#include "obs/clock.hpp"
+#include "obs/metrics.hpp"
 #include "serve/coeff_store.hpp"
 #include "serve/lru_cache.hpp"
-#include "serve/metrics.hpp"
 #include "serve/mpmc_queue.hpp"
 #include "serve/query_stream.hpp"
 #include "serve/scenario_key.hpp"
@@ -369,115 +369,6 @@ TEST(CoefficientStore, RejectsUnfittedModels) {
   EXPECT_EQ(store.version(), 1u);  // failed reload left the store untouched
 }
 
-// -------------------------------------------------------------- metrics
-
-TEST(Metrics, HistogramQuantilesAreOrderedAndConservative) {
-  LatencyHistogram h;
-  for (int i = 1; i <= 1000; ++i) h.record_ns(i * 1e3);  // 1us..1ms uniform
-  EXPECT_EQ(h.count(), 1000u);
-  const double p50 = h.quantile_ns(0.50);
-  const double p95 = h.quantile_ns(0.95);
-  const double p99 = h.quantile_ns(0.99);
-  EXPECT_LE(p50, p95);
-  EXPECT_LE(p95, p99);
-  EXPECT_GE(p50, 500e3 * 0.95);  // within bucket resolution of the true median
-  EXPECT_LE(p50, 500e3 * 1.10);
-  EXPECT_NEAR(h.mean_ns(), 500.5e3, 5e3);
-}
-
-TEST(Metrics, RegistryRendersTableAndCsv) {
-  MetricsRegistry registry;
-  const int ep = registry.register_endpoint("predict");
-  registry.record(ep, 2e6);
-  registry.record(ep, 4e6);
-  const std::string table = registry.render_table();
-  EXPECT_NE(table.find("predict"), std::string::npos);
-  const std::string csv = registry.render_csv();
-  EXPECT_NE(csv.find("endpoint,requests,qps,mean_us,p50_us,p95_us,p99_us"),
-            std::string::npos);
-  EXPECT_NE(csv.find("predict,2,"), std::string::npos);
-}
-
-// Byte-compatibility regression: metrics_csv() must render exactly
-// what the pre-obs MetricsRegistry rendered. The reference below is a
-// literal reimplementation of the retired algorithm (log-indexed
-// 400-bucket grid, truncating ns total, ceil-rank upper-edge
-// quantiles, epoch-based qps); the registry now computes the same
-// numbers through obs::Histogram, and ManualClock pins the qps
-// denominator so the comparison is exact.
-TEST(Metrics, CsvByteIdenticalToLegacyAlgorithm) {
-  struct LegacyReference {
-    std::uint64_t counts[LatencyHistogram::kBuckets] = {};
-    std::uint64_t n = 0;
-    std::uint64_t total_ns = 0;
-
-    static int bucket_index(double ns) {
-      if (ns <= LatencyHistogram::kFirstBucketNs) return 0;
-      static const double inv_log_growth = 1.0 / std::log(LatencyHistogram::kGrowth);
-      const int idx = static_cast<int>(std::log(ns / LatencyHistogram::kFirstBucketNs) *
-                                       inv_log_growth) + 1;
-      return std::min(idx, LatencyHistogram::kBuckets - 1);
-    }
-    static double bucket_upper_ns(int idx) {
-      return LatencyHistogram::kFirstBucketNs *
-             std::pow(LatencyHistogram::kGrowth, static_cast<double>(idx));
-    }
-    void record(double ns) {
-      ++counts[bucket_index(ns)];
-      ++n;
-      total_ns += static_cast<std::uint64_t>(ns);
-    }
-    double quantile_ns(double q) const {
-      if (n == 0) return 0.0;
-      const auto rank = static_cast<std::uint64_t>(std::ceil(q * static_cast<double>(n)));
-      std::uint64_t seen = 0;
-      for (int i = 0; i < LatencyHistogram::kBuckets; ++i) {
-        seen += counts[i];
-        if (seen >= rank) return bucket_upper_ns(i);
-      }
-      return bucket_upper_ns(LatencyHistogram::kBuckets - 1);
-    }
-  };
-
-  obs::ManualClock::install(7'000'000);
-  MetricsRegistry registry;
-  const int ep_predict = registry.register_endpoint("predict");
-  const int ep_submit = registry.register_endpoint("submit");
-
-  LegacyReference ref_predict;
-  LegacyReference ref_submit;
-  std::uint64_t x = 0x9e3779b97f4a7c15ull;  // seeded latency stream
-  for (int i = 0; i < 4000; ++i) {
-    x ^= x << 13; x ^= x >> 7; x ^= x << 17;
-    // Integral ns like real timers produce; span five decades so every
-    // part of the grid including bucket 0 and deep buckets is hit.
-    const double ns = static_cast<double>(x % 100'000'000ull);
-    registry.record(ep_predict, ns);
-    ref_predict.record(ns);
-    if (i % 3 == 0) {
-      registry.record(ep_submit, std::floor(ns / 2.0));
-      ref_submit.record(std::floor(ns / 2.0));
-    }
-  }
-  obs::ManualClock::advance(2'500'000'000);  // 2.5 s on the books
-
-  std::string expected = "endpoint,requests,qps,mean_us,p50_us,p95_us,p99_us\n";
-  for (const auto& [name, ref] : {std::pair<const char*, const LegacyReference&>{
-                                      "predict", ref_predict},
-                                  {"submit", ref_submit}}) {
-    const double qps = static_cast<double>(ref.n) / 2.5;
-    const double mean_us =
-        static_cast<double>(ref.total_ns) / static_cast<double>(ref.n) / 1e3;
-    expected += util::format("%s,%llu,%.3f,%.3f,%.3f,%.3f,%.3f\n", name,
-                             static_cast<unsigned long long>(ref.n), qps, mean_us,
-                             ref.quantile_ns(0.50) / 1e3, ref.quantile_ns(0.95) / 1e3,
-                             ref.quantile_ns(0.99) / 1e3);
-  }
-  const std::string csv = registry.render_csv();
-  obs::ManualClock::uninstall();
-  EXPECT_EQ(csv, expected);
-}
-
 // -------------------------------------------------------------- service
 
 TEST(PredictionService, MatchesDirectPlannerBitwise) {
@@ -686,6 +577,68 @@ TEST(PredictionService, SubmitFastPathServesHitsWithoutQueueing) {
   EXPECT_EQ(service.stats().cache.hits, hits_before + 1);
   // One predict + one submit of the same scenario: exactly one miss.
   EXPECT_EQ(service.stats().cache.misses, 1u);
+}
+
+/// Observations in the service's serve_endpoint_latency_ns series for
+/// `endpoint`, read back through the exported registry.
+std::uint64_t endpoint_observations(PredictionService& service, const std::string& endpoint) {
+  for (const obs::MetricSnapshot& m : service.obs_registry().snapshot().metrics) {
+    if (m.name == "serve_endpoint_latency_ns" &&
+        m.labels == obs::Labels{{"endpoint", endpoint}}) {
+      return m.histogram.count;
+    }
+  }
+  ADD_FAILURE() << "no serve_endpoint_latency_ns series for " << endpoint;
+  return 0;
+}
+
+TEST(PredictionService, EachEntryPointRecordsOneEndpointObservation) {
+  const core::Wavm3Model model = make_model();
+  PredictionService service(model, ServiceConfig{.threads = 1});
+  const auto counts = [&] {
+    return std::array<std::uint64_t, 3>{endpoint_observations(service, "predict"),
+                                        endpoint_observations(service, "submit"),
+                                        endpoint_observations(service, "predict_batch")};
+  };
+  using Counts = std::array<std::uint64_t, 3>;
+  EXPECT_EQ(counts(), (Counts{0, 0, 0}));
+
+  const core::MigrationScenario warm = make_scenario(1);
+  service.predict(warm);
+  EXPECT_EQ(counts(), (Counts{1, 0, 0}));
+  // Cache-hit fast paths record on the caller's thread before returning.
+  service.submit(warm).get();
+  EXPECT_EQ(counts(), (Counts{1, 1, 0}));
+  std::optional<std::future<core::MigrationForecast>> hit = service.try_submit(warm);
+  ASSERT_TRUE(hit.has_value());
+  hit->get();
+  EXPECT_EQ(counts(), (Counts{1, 2, 0}));
+  // One batch call is one observation, however many scenarios it holds.
+  const std::vector<core::MigrationScenario> batch = {make_scenario(2), make_scenario(3),
+                                                      warm};
+  ASSERT_EQ(service.predict_batch_results(batch).size(), batch.size());
+  EXPECT_EQ(counts(), (Counts{1, 2, 1}));
+
+  // Queued requests record on the worker once the job finishes; the
+  // draining shutdown joins the worker, so both have landed after it.
+  std::future<core::MigrationForecast> queued = service.submit(make_scenario(4));
+  std::optional<std::future<core::MigrationForecast>> tried =
+      service.try_submit(make_scenario(5));
+  ASSERT_TRUE(tried.has_value());
+  service.shutdown(DrainMode::kDrain);
+  EXPECT_GT(queued.get().total_energy(), 0.0);
+  EXPECT_GT(tried->get().total_energy(), 0.0);
+  EXPECT_EQ(counts(), (Counts{1, 4, 1}));
+  EXPECT_EQ(service.stats().cache.misses, 5u);  // warm, 2, 3, 4, 5
+
+  // The table renders the same series.
+  const std::string table = service.metrics_table();
+  for (const auto& [endpoint, n] : {std::pair<const char*, unsigned long long>{"predict", 1},
+                                    {"submit", 4},
+                                    {"predict_batch", 1}}) {
+    EXPECT_NE(table.find(util::format("%-24s %10llu ", endpoint, n)), std::string::npos)
+        << table;
+  }
 }
 
 // ---------------------------------------------------- simulated fidelity

@@ -2,6 +2,7 @@
 // cancellation, periodic tasks, determinism.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "sim/simulator.hpp"
@@ -101,6 +102,29 @@ TEST(Simulator, PeriodicCancelFromInsideCallback) {
   });
   sim.run_to_completion();
   EXPECT_EQ(count, 3);
+}
+
+TEST(Simulator, PeriodicReleasesItsCallback) {
+  // Nothing may keep the callback alive once the periodic is cancelled
+  // and drained, or once the simulator is gone with a tick still queued.
+  auto cancelled = std::make_shared<int>(0);
+  auto pending = std::make_shared<int>(0);
+  const std::weak_ptr<int> cancelled_watch = cancelled;
+  const std::weak_ptr<int> pending_watch = pending;
+  {
+    Simulator sim;
+    auto handle = sim.schedule_periodic(0.0, 1.0, [cancelled] {});
+    sim.schedule_at(2.5, [&handle] { handle.cancel(); });
+    sim.run_to_completion();
+    cancelled.reset();
+    EXPECT_TRUE(cancelled_watch.expired());
+
+    Simulator doomed;
+    doomed.schedule_periodic(0.0, 1.0, [pending] {});
+    doomed.run_until(3.5);
+    pending.reset();
+  }
+  EXPECT_TRUE(pending_watch.expired());
 }
 
 TEST(Simulator, RunToCompletionCapsRunaway) {

@@ -1089,13 +1089,7 @@ int cmd_serve_bench(const Args& args) {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 
   std::puts("");
-  if (args.has("csv")) {
-    // Deprecated: interleaves machine-readable rows with the human
-    // report on stdout. Prefer --metrics-out FILE.
-    std::fputs(service.metrics_csv().c_str(), stdout);
-  } else {
-    std::fputs(service.metrics_table().c_str(), stdout);
-  }
+  std::fputs(service.metrics_table().c_str(), stdout);
   std::printf("\nstream   : %ld requests in %.2f s -> %.0f predictions/s\n", total, elapsed,
               static_cast<double>(total) / std::max(1e-9, elapsed));
   std::printf("checksum : total predicted energy %.3f MJ\n", energy_checksum / 1e6);
@@ -1114,18 +1108,12 @@ int cmd_serve_bench(const Args& args) {
                 static_cast<unsigned long long>(service.model_version()));
   }
   // Machine-readable output goes to files so stdout stays human-only.
-  // Format follows the extension: .json -> JSON snapshot, .csv -> the
-  // legacy per-endpoint CSV, anything else -> Prometheus text.
+  // Format follows the extension: .json -> JSON snapshot, anything
+  // else -> Prometheus text.
   const std::string metrics_path = args.get("metrics-out", "");
   if (!metrics_path.empty()) {
-    std::string body;
-    if (metrics_path.ends_with(".json")) {
-      body = service.metrics_json();
-    } else if (metrics_path.ends_with(".csv")) {
-      body = service.metrics_csv();
-    } else {
-      body = service.metrics_prometheus();
-    }
+    const std::string body = metrics_path.ends_with(".json") ? service.metrics_json()
+                                                              : service.metrics_prometheus();
     if (!write_text_file(metrics_path, body)) return 1;
     std::fprintf(stderr, "wrote %s\n", metrics_path.c_str());
   }
@@ -1571,12 +1559,12 @@ int cmd_help() {
       "  serve-bench [--coeffs FILE | --testbed m|o] [--threads N] [--requests N]\n"
       "            [--batch N] [--cache-capacity N] [--cache-shards N]\n"
       "            [--quantization F] [--repeat-fraction F] [--queue N]\n"
-      "            [--reloads N] [--fidelity closed|sim] [--csv] [--seed N]\n"
+      "            [--reloads N] [--fidelity closed|sim] [--seed N]\n"
       "            [--fail-backend] [--no-degrade] [--deadline-ms T] [--retries N]\n"
       "            [--breaker-threshold N] [--breaker-open-ms T]\n"
       "            [--recalibrate] [--feedback-bias W] [--pass-interval N]\n"
       "            [--bias-threshold W]\n"
-      "            [--trace-out FILE] [--metrics-out FILE (.json|.csv|.prom)]\n"
+      "            [--trace-out FILE] [--metrics-out FILE (.json|.prom)]\n"
       "  fleet-bench [--coeffs FILE | --testbed m|o] [--nodes N] [--replicas N]\n"
       "            [--requests N] [--threads N] [--publishes N] [--node-loss]\n"
       "            [--seed N] [--metrics-out FILE]\n"
