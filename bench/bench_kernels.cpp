@@ -9,7 +9,9 @@
 // When the host has no SIMD backend — or WAVM3_FORCE_SCALAR pinned the
 // dispatcher at startup — the A/B degenerates to scalar-vs-scalar and
 // the artefact says simd_available=false so the gate skips instead of
-// demanding a speedup the hardware cannot give.
+// demanding a speedup the hardware cannot give. Sanitizer builds say
+// instrumented=true: their timings measure the instrumentation, so the
+// gate enforces parity there but not the speedup floor.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -27,6 +29,15 @@
 namespace {
 
 using namespace wavm3;
+
+/// True in ASan/TSan builds, whose -O1 instrumentation dominates the
+/// timed loops.
+constexpr bool kInstrumented =
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+    true;
+#else
+    false;
+#endif
 
 /// The WAVM3 serving shape: 11 phase-expanded terms, batch of 64 rows.
 constexpr std::size_t kTerms = 11;
@@ -224,6 +235,7 @@ int run_report() {
          << "\",\n"
          << "  \"cpu\": \"" << cpu << "\",\n"
          << "  \"simd_available\": " << (simd_available ? "true" : "false") << ",\n"
+         << "  \"instrumented\": " << (kInstrumented ? "true" : "false") << ",\n"
          << "  \"batch64\": {\"terms\": " << kTerms << ", \"rows\": " << kBatch
          << ", \"simd_ns_per_prediction\": " << simd_ns_per_pred
          << ", \"scalar_ns_per_prediction\": " << scalar_ns_per_pred

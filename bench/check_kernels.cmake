@@ -6,7 +6,9 @@
 #     forced scalar on that shape.
 # Hosts with no SIMD backend (or runs pinned by WAVM3_FORCE_SCALAR)
 # mark simd_available=false and the speedup check is skipped — there is
-# nothing to race.
+# nothing to race. ASan/TSan builds mark instrumented=true and skip it
+# too: their timings measure the sanitizer, not the kernels. Parity is
+# enforced in every case.
 # Run as `cmake -DARTIFACT=... -P check_kernels.cmake`
 # (the bench_kernels_speedup_gate ctest entry).
 cmake_minimum_required(VERSION 3.19)  # string(JSON ...)
@@ -21,6 +23,7 @@ endif()
 file(READ "${ARTIFACT}" _json)
 string(JSON _backend GET "${_json}" backend)
 string(JSON _simd GET "${_json}" simd_available)
+string(JSON _instrumented GET "${_json}" instrumented)
 string(JSON _parity GET "${_json}" batch64 parity)
 string(JSON _speedup GET "${_json}" batch64 speedup)
 
@@ -32,6 +35,12 @@ message(STATUS "batch-64 apply bit parity: ok (backend ${_backend})")
 
 if(NOT _simd)
   message(STATUS "no SIMD backend active — speedup gate skipped")
+  return()
+endif()
+
+if(_instrumented)
+  message(STATUS "sanitizer-instrumented build (${_backend} ${_speedup}x) — "
+                 "4.0x speedup gate skipped")
   return()
 endif()
 

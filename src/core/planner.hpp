@@ -82,9 +82,9 @@ MigrationForecast forecast_timings(const MigrationScenario& scenario);
 /// phase, chosen to mirror how the engine drives the hosts, plus the
 /// coefficient table the scenario's type maps to (post-copy prices
 /// with the live tables). attach_energy evaluates these through
-/// predict_power; the batched scoring path (src/plan/) integrates the
-/// very same samples through models::FeatureBatch, so both roads give
-/// the same energies (up to floating-point reassociation).
+/// predict_power — the one pricing path, which plan/ and chaos/ reach
+/// through MigrationPlanner::forecast. stream::PhasePrior and the
+/// CLI's trace replay read the same samples.
 struct PhaseRepresentatives {
   models::MigrationSample source[3];  ///< initiation, transfer, activation
   models::MigrationSample target[3];

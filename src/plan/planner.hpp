@@ -1,7 +1,7 @@
 // Datacenter-scale migration planner: rolling consolidation waves over
-// a Fleet, with candidate moves priced in bulk through the batched
-// scoring path (plan/scoring.hpp) and scheduled into workload-cycle
-// low-dirtying windows (plan/cycle_detector.hpp).
+// a Fleet, with every candidate move priced by one scalar
+// core::MigrationPlanner::forecast call and scheduled into
+// workload-cycle low-dirtying windows (plan/cycle_detector.hpp).
 //
 // One wave:
 //   1. refresh loads; pick donor hosts (underloaded, to be vacated)
@@ -10,7 +10,8 @@
 //   3. generate (VM, source, target) candidates and price them — each
 //      in a cycle-blind variant (trailing-window dirtying) and, for
 //      periodic VMs, a cycle-aligned variant (low-window dirtying) —
-//      in one FeatureBatch + predict_batch pass;
+//      through core::MigrationPlanner::forecast, the paper's per-phase
+//      power x duration sums (Eqs. 3-7);
 //   4. a PlacementStrategy picks targets (naive first-fit, or
 //      energy-aware beam search) donor by donor, all-or-nothing per
 //      donor (partial vacates save no host energy);
@@ -71,7 +72,7 @@ struct PlannerConfig {
 /// One priced placement variant of a candidate move.
 struct MoveVariant {
   core::MigrationScenario scenario;
-  core::MigrationForecast forecast;  ///< timings + batch-scored energies
+  core::MigrationForecast forecast;  ///< core::MigrationPlanner::forecast of `scenario`
   double energy_j = 0.0;             ///< source + target
 };
 
@@ -152,15 +153,28 @@ struct WavePlan {
   int overloaded_hosts_before = 0;        ///< hosts above the overload fraction
   int overloaded_hosts_after = 0;
   std::size_t candidates_scored = 0;      ///< (VM, target) pairs priced
-  std::size_t batch_rows = 0;             ///< FeatureBatch rows evaluated
-  double scoring_seconds = 0.0;           ///< wall time inside score_batch
+  std::size_t batch_rows = 0;             ///< role energies priced, two per scenario
+  double scoring_seconds = 0.0;           ///< wall time pricing the candidates
   double wave_seconds = 0.0;              ///< wall time of the whole wave
 };
+
+/// Link payload rate (bytes/s) between two hosts: the config's intra-
+/// or inter-group rate, capped by both NICs' payload rates.
+double payload_rate(const PlannerConfig& config, const cloud::HostSpec& src,
+                    const cloud::HostSpec& dst);
+
+/// The scenario that prices moving `vm` from `source` to `target`
+/// under the fleet's current loads (Fleet::refresh_loads): the VM's
+/// trailing-window signature, the source's load without the VM, the
+/// target's load as it stands, and payload_rate between the two.
+core::MigrationScenario move_scenario(const Fleet& fleet, const PlannerConfig& config, int vm,
+                                      int source, int target);
 
 /// Plans rolling consolidation waves over a fleet.
 class MigrationPlanner {
  public:
-  /// `model` must outlive the planner and be fitted for the policy's
+  /// `model` must be a core::Wavm3Model (util::ContractError
+  /// otherwise), outlive the planner, and be fitted for the policy's
   /// migration type.
   MigrationPlanner(const models::EnergyModel& model, PlannerConfig config = {});
 
@@ -173,7 +187,7 @@ class MigrationPlanner {
                      bool commit = true);
 
  private:
-  const models::EnergyModel* model_;
+  core::MigrationPlanner forecaster_;
   PlannerConfig config_;
 };
 

@@ -12,8 +12,10 @@
 #include "chaos/executor.hpp"
 #include "chaos/invariants.hpp"
 #include "chaos/replan.hpp"
+#include "core/planner.hpp"
 #include "core/wavm3_model.hpp"
 #include "plan/fleet.hpp"
+#include "plan/planner.hpp"
 #include "plan/strategy.hpp"
 #include "util/error.hpp"
 
@@ -412,7 +414,7 @@ TEST(WaveExecutor, StormFailuresAreRetriedWithinBudgetOrShed) {
   EXPECT_GT(report.wasted_attempts_j, 0.0);
 }
 
-TEST(WaveExecutor, ReliefShedsOverloadedHostsThroughBulkScoring) {
+TEST(WaveExecutor, ReliefShedsOverloadedHostsAtScalarForecastPrices) {
   const core::Wavm3Model model = make_model();
   const plan::BeamSearchStrategy beam;
 
@@ -445,6 +447,8 @@ TEST(WaveExecutor, ReliefShedsOverloadedHostsThroughBulkScoring) {
   cfg.relief_enabled = true;
   cfg.max_waves = 4;
   WaveExecutor executor(model, cfg);
+  plan::Fleet before = fleet;
+  before.refresh_loads(1000.0, cfg.planner.load_window_s);
   const WaveOutcome wave = executor.run_wave(fleet, beam, 0, 1000.0);
 
   EXPECT_EQ(wave.overloaded_hosts, 1);
@@ -455,10 +459,16 @@ TEST(WaveExecutor, ReliefShedsOverloadedHostsThroughBulkScoring) {
   const plan::FleetHost& relieved = fleet.host(0);
   EXPECT_LE(relieved.cpu_load / relieved.spec.vcpus,
             cfg.planner.policy.overload_fraction + 1e-9);
-  // Relief moves are real ledger entries with committed energy.
+  // Relief moves are real ledger entries with committed energy, each
+  // priced exactly like a planner candidate for the same move.
   EXPECT_GT(wave.ledger.committed_j, 0.0);
+  const core::MigrationPlanner scalar(model);
   for (const TrackedMove& mv : executor.ledger()) {
     EXPECT_TRUE(mv.relief);
+    const core::MigrationForecast expect = scalar.forecast(plan::move_scenario(
+        before, cfg.planner, mv.move.vm, mv.move.source, mv.move.target));
+    EXPECT_EQ(mv.move.energy_j, expect.total_energy()) << "vm " << mv.move.vm;
+    EXPECT_EQ(mv.move.downtime_s, expect.downtime) << "vm " << mv.move.vm;
   }
 }
 

@@ -1,5 +1,6 @@
-// src/plan/: fleet model, workload-cycle detection, batched candidate
-// scoring, and wave planning with the bundled placement strategies.
+// src/plan/: fleet model, workload-cycle detection, candidate pricing
+// through core::MigrationPlanner::forecast, and wave planning with the
+// bundled placement strategies.
 #include <cmath>
 #include <map>
 #include <sstream>
@@ -7,10 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include "models/huang.hpp"
 #include "plan/cycle_detector.hpp"
 #include "plan/fleet.hpp"
 #include "plan/planner.hpp"
-#include "plan/scoring.hpp"
 #include "plan/strategy.hpp"
 #include "util/error.hpp"
 #include "util/units.hpp"
@@ -283,7 +284,7 @@ TEST(Fleet, RefreshLoadsTracksTrailingWindow) {
   EXPECT_NEAR(fleet.host_utilisation(0), 3.0 / 8.0, 1e-9);
 }
 
-// --------------------------------------------------------------- scoring
+// ----------------------------------------------------------------- model
 
 core::Wavm3Model make_model() {
   core::Wavm3Model m;
@@ -301,51 +302,6 @@ core::Wavm3Model make_model() {
   return m;
 }
 
-TEST(ScoreBatch, MatchesScalarPlannerForecasts) {
-  const core::Wavm3Model model = make_model();
-  const core::MigrationPlanner scalar(model);
-
-  std::vector<core::MigrationScenario> scenarios;
-  for (const MigrationType type : {MigrationType::kLive, MigrationType::kNonLive}) {
-    for (const double mem_gib : {1.0, 4.0, 16.0}) {
-      for (const double dirty : {0.0, 5000.0, 40000.0}) {
-        for (const double target_load : {2.0, 20.0, 30.0}) {
-          core::MigrationScenario sc;
-          sc.type = type;
-          sc.vm_mem_bytes = util::gib(mem_gib);
-          sc.vm_cpu_vcpus = 2.0;
-          sc.vm_dirty_pages_per_s = dirty;
-          sc.vm_working_set_pages = 0.3 * sc.vm_mem_bytes / util::kPageSize;
-          sc.source_cpu_load = 6.0;
-          sc.target_cpu_load = target_load;
-          scenarios.push_back(sc);
-        }
-      }
-    }
-  }
-
-  std::vector<core::MigrationForecast> batched;
-  const std::size_t rows = score_batch(model, scenarios, batched);
-  ASSERT_EQ(batched.size(), scenarios.size());
-  EXPECT_EQ(rows, 2 * scenarios.size());
-
-  for (std::size_t i = 0; i < scenarios.size(); ++i) {
-    const core::MigrationForecast expect = scalar.forecast(scenarios[i]);
-    // Identical timings (same closed form)...
-    EXPECT_DOUBLE_EQ(batched[i].times.me, expect.times.me);
-    EXPECT_DOUBLE_EQ(batched[i].bandwidth, expect.bandwidth);
-    EXPECT_DOUBLE_EQ(batched[i].downtime, expect.downtime);
-    // ...and energies equal to relative machine precision (the batched
-    // path reassociates the power x duration products).
-    EXPECT_NEAR(batched[i].source_energy, expect.source_energy,
-                1e-9 * std::abs(expect.source_energy))
-        << "scenario " << i;
-    EXPECT_NEAR(batched[i].target_energy, expect.target_energy,
-                1e-9 * std::abs(expect.target_energy))
-        << "scenario " << i;
-  }
-}
-
 // --------------------------------------------------------------- planner
 
 PlannerConfig test_config() {
@@ -354,6 +310,49 @@ PlannerConfig test_config() {
   config.policy.overload_fraction = 0.90;
   config.wave_horizon_s = 2.0 * 7200.0;
   return config;
+}
+
+TEST(MigrationPlanner, RejectsNonWavm3Models) {
+  // Hypothetical moves are priced by core::MigrationPlanner::forecast,
+  // which needs WAVM3's per-phase tables.
+  const models::HuangModel huang;
+  EXPECT_THROW(MigrationPlanner(huang, test_config()), util::ContractError);
+  const core::Wavm3Model model = make_model();
+  EXPECT_NO_THROW(MigrationPlanner(model, test_config()));
+}
+
+TEST(MigrationPlanner, MoveEnergiesEqualScalarForecast) {
+  // Every committed move, blind and cycle-aligned, costs exactly what
+  // core::MigrationPlanner::forecast says for its scenario.
+  const core::Wavm3Model model = make_model();
+  const core::MigrationPlanner scalar(model);
+  const PlannerConfig config = test_config();
+  const double now = SyntheticFleetOptions{}.history_s;
+  Fleet fleet = Fleet::synthetic(24, 120, 31);
+  Fleet before = fleet;
+  before.refresh_loads(now, config.load_window_s);
+
+  MigrationPlanner planner(model, config);
+  const BeamSearchStrategy beam;
+  const WavePlan plan = planner.plan_wave(fleet, beam, now);
+  ASSERT_GT(plan.moves_cycle_aligned, 0);
+  ASSERT_LT(plan.moves_cycle_aligned, static_cast<int>(plan.moves.size()));
+  EXPECT_EQ(plan.batch_rows % 2, 0u);
+
+  const CycleDetector detector(config.cycles);
+  double total = 0.0;
+  for (const ScheduledMove& m : plan.moves) {
+    core::MigrationScenario sc = move_scenario(before, config, m.vm, m.source, m.target);
+    if (m.cycle_aligned) {
+      const VmHistory& hist = before.vm(m.vm).history;
+      sc.vm_dirty_pages_per_s = detector.analyze(hist.t, hist.dirty).low_mean;
+    }
+    const core::MigrationForecast expect = scalar.forecast(sc);
+    EXPECT_EQ(m.energy_j, expect.total_energy()) << "vm " << m.vm;
+    EXPECT_EQ(m.downtime_s, expect.downtime) << "vm " << m.vm;
+    total += m.energy_j;
+  }
+  EXPECT_DOUBLE_EQ(plan.total_migration_energy_j, total);
 }
 
 TEST(MigrationPlanner, WaveRespectsCapacityAndConcurrency) {
