@@ -1,10 +1,15 @@
 // Extension bench (SVIII): integrates WAVM3 into a closed-loop
 // data-centre simulation and quantifies what migration-cost-aware
 // consolidation is worth at fleet scale. Not a table from the paper,
-// but the deployment the paper's conclusion argues for.
+// but the deployment the paper's conclusion argues for. Emits
+// bench_out/bench_consolidation_savings.json (energy, migrations, hosts
+// off and plans rejected per case and strategy), which
+// check_consolidation.cmake gates.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
 
 #include "bench_common.hpp"
 #include "dcsim/simulation.hpp"
@@ -38,34 +43,50 @@ dcsim::DcSimConfig scenario(dcsim::Strategy strategy, double horizon, bool memor
 void print_report() {
   benchx::print_banner("Extension: fleet energy under consolidation strategies");
   const auto& pl = benchx::pipeline();
-  const core::MigrationPlanner planner(pl.wavm3);
 
+  std::filesystem::create_directories("bench_out");
+  std::ofstream json("bench_out/bench_consolidation_savings.json");
+  json << "{";
   util::AsciiTable table({"Workload / horizon", "Strategy", "Energy [kWh]", "Migrations",
                           "Hosts off", "Plans rejected"});
   table.set_title("12 h simulation, 6 m-class hosts, 16 VMs");
   struct Case {
+    const char* key;
     const char* label;
     double horizon;
     bool memory_hot;
   };
-  for (const Case c : {Case{"diurnal, 2 h off-window", 7200.0, false},
-                       Case{"memory-hot, 30 s off-window", 30.0, true}}) {
+  const char* case_sep = "";
+  for (const Case c : {Case{"diurnal", "diurnal, 2 h off-window", 7200.0, false},
+                       Case{"memory_hot_30s", "memory-hot, 30 s off-window", 30.0, true}}) {
+    json << case_sep << "\n  \"" << c.key << "\": {";
+    case_sep = ",";
+    const char* strategy_sep = "";
     for (const dcsim::Strategy strategy :
          {dcsim::Strategy::kNoConsolidation, dcsim::Strategy::kCostBlind,
           dcsim::Strategy::kCostAware}) {
       dcsim::DataCenterSimulation sim(
           scenario(strategy, c.horizon, c.memory_hot),
-          strategy == dcsim::Strategy::kNoConsolidation ? nullptr : &planner);
+          strategy == dcsim::Strategy::kNoConsolidation ? nullptr : &pl.wavm3);
       const dcsim::DcSimReport r = sim.run();
+      json << strategy_sep << "\n    \"" << to_string(strategy) << "\": {\"energy_j\": "
+           << util::format("%.1f", r.total_energy_joules)
+           << ", \"migrations\": " << r.migrations_executed
+           << ", \"hosts_off\": " << r.power_off_events
+           << ", \"plans_rejected\": " << r.plans_rejected_by_cost << "}";
+      strategy_sep = ",";
       table.add_row({util::format("%s", c.label), to_string(strategy),
                      util::fmt_fixed(r.total_energy_joules / 3.6e6, 2),
                      util::format("%d", r.migrations_executed),
                      util::format("%d", r.power_off_events),
                      util::format("%d", r.plans_rejected_by_cost)});
     }
+    json << "\n  }";
     table.add_separator();
   }
+  json << "\n}\n";
   std::puts(table.render().c_str());
+  std::puts("wrote bench_out/bench_consolidation_savings.json\n");
   std::puts("With cheap moves the strategies agree. With memory-hot guests and a 30 s\n"
             "expected off-window, the workload-aware forecast correctly prices every\n"
             "vacate plan as a net loss and refuses it (plans rejected > 0), while the\n"
@@ -76,9 +97,9 @@ void print_report() {
 
 void BM_FleetSimulation12h(benchmark::State& state) {
   const auto& pl = benchx::pipeline();
-  const core::MigrationPlanner planner(pl.wavm3);
   for (auto _ : state) {
-    dcsim::DataCenterSimulation sim(scenario(dcsim::Strategy::kCostAware, 7200.0, false), &planner);
+    dcsim::DataCenterSimulation sim(scenario(dcsim::Strategy::kCostAware, 7200.0, false),
+                                    &pl.wavm3);
     const dcsim::DcSimReport r = sim.run();
     benchmark::DoNotOptimize(r.total_energy_joules);
   }

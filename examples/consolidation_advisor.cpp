@@ -11,10 +11,11 @@
 #include <cstdio>
 
 #include "cloud/instances.hpp"
-#include "consolidation/manager.hpp"
 #include "core/planner.hpp"
 #include "core/wavm3_model.hpp"
 #include "exp/campaign.hpp"
+#include "plan/planner.hpp"
+#include "plan/strategy.hpp"
 #include "util/units.hpp"
 
 using namespace wavm3;
@@ -29,22 +30,33 @@ cloud::HostSpec host32(const std::string& name) {
   return h;
 }
 
-void report_plans(const char* label, const std::vector<consolidation::ConsolidationPlan>& plans) {
+/// Plans one what-if wave over a snapshot of `dc` and prints each
+/// donor's vacate ledger with its moves.
+void report_plans(const char* label, const cloud::DataCenter& dc,
+                  const core::Wavm3Model& model, const plan::PlannerConfig& config) {
   std::printf("%s\n", label);
-  if (plans.empty()) {
+  plan::Fleet fleet = plan::Fleet::from_datacenter(dc, 0.0);
+  plan::MigrationPlanner planner(model, config);
+  const plan::WavePlan wave =
+      planner.plan_wave(fleet, plan::BeamSearchStrategy{}, 0.0, /*commit=*/false);
+  const std::vector<plan::DonorLedger> ledger = plan::donor_ledger(wave, config);
+  if (ledger.empty()) {
     std::puts("  (no underutilised host worth vacating)");
     return;
   }
-  for (const auto& p : plans) {
+  const core::MigrationPlanner forecaster(model);
+  for (const plan::DonorLedger& d : ledger) {
     std::printf("  vacate %-6s: %zu migration(s), cost %.1f kJ, saving %.1f kJ -> net %+.1f kJ %s\n",
-                p.vacated_host.c_str(), p.migrations.size(), p.migration_cost_joules / 1e3,
-                p.steady_saving_joules / 1e3, p.net_benefit_joules / 1e3,
-                p.beneficial ? "[DO IT]" : "[SKIP]");
-    for (const auto& m : p.migrations) {
+                fleet.host(d.host).spec.name.c_str(), d.moves, d.migration_energy_j / 1e3,
+                d.steady_saving_j / 1e3, d.net_j / 1e3, d.net_j > 0.0 ? "[DO IT]" : "[SKIP]");
+    for (const plan::ScheduledMove& m : wave.moves) {
+      if (m.source != d.host) continue;
+      const core::MigrationForecast fc =
+          forecaster.forecast(plan::move_scenario(fleet, config, m.vm, m.source, m.target));
       std::printf("    %-4s -> %-6s  transfer %.1f s, downtime %.2f s, move cost %.2f kJ%s\n",
-                  m.vm_id.c_str(), m.target.c_str(), m.forecast.times.transfer_duration(),
-                  m.forecast.downtime, m.migration_energy_joules / 1e3,
-                  m.forecast.degenerated_to_nonlive ? " (pre-copy will not converge!)" : "");
+                  fleet.vm(m.vm).id.c_str(), fleet.host(m.target).spec.name.c_str(),
+                  fc.times.transfer_duration(), m.downtime_s, m.energy_j / 1e3,
+                  fc.degenerated_to_nonlive ? " (pre-copy will not converge!)" : "");
     }
   }
 }
@@ -59,12 +71,12 @@ int main() {
       exp::run_campaign(exp::testbed_m(), exp::fast_campaign_options(), 2015);
   core::Wavm3Model model;
   model.fit(campaign.dataset);
-  const core::MigrationPlanner planner(model);
 
-  consolidation::HostPowerEstimate host_power;
-  host_power.idle_watts = campaign.measured_idle_power;
-  host_power.watts_per_vcpu = 12.0;
-  const double link_rate = 117.5e6;  // 1 GbE payload
+  plan::PlannerConfig config;
+  config.host_power.idle_watts = campaign.measured_idle_power;
+  config.host_power.watts_per_vcpu = 12.0;
+  config.intra_group_payload_rate = 117.5e6;  // 1 GbE payload
+  config.inter_group_payload_rate = 117.5e6;
 
   // --- Scene 1: a lightly loaded host, CPU-bound guests. ---
   {
@@ -76,14 +88,11 @@ int main() {
     a.add_vm(cloud::make_load_cpu_vm("web2"));
     for (int i = 0; i < 3; ++i) b.add_vm(cloud::make_load_cpu_vm("db" + std::to_string(i)));
 
-    consolidation::ConsolidationPolicy policy;
-    policy.horizon_seconds = 3600.0;  // one hour
-    consolidation::ConsolidationManager mgr(policy, planner, host_power);
-    report_plans("\nScene 1a: CPU-bound guests, 1 h horizon:", mgr.plan(dc, link_rate));
+    config.policy.horizon_seconds = 3600.0;  // one hour
+    report_plans("\nScene 1a: CPU-bound guests, 1 h horizon:", dc, model, config);
 
-    policy.horizon_seconds = 60.0;  // about to redeploy everything anyway
-    consolidation::ConsolidationManager eager(policy, planner, host_power);
-    report_plans("\nScene 1b: same, but only a 60 s horizon:", eager.plan(dc, link_rate));
+    config.policy.horizon_seconds = 60.0;  // about to redeploy everything anyway
+    report_plans("\nScene 1b: same, but only a 60 s horizon:", dc, model, config);
   }
 
   // --- Scene 2: the SVIII warning — a memory-hot VM and busy targets. ---
@@ -91,16 +100,18 @@ int main() {
     cloud::DataCenter dc;
     cloud::Host& a = dc.add_host(host32("hostA"));
     cloud::Host& busy = dc.add_host(host32("busy"));
-    cloud::Host& idle = dc.add_host(host32("idle"));
+    dc.add_host(host32("idle"));
     a.add_vm(cloud::make_migrating_mem_vm("cache", 0.95));  // 95% dirtying ratio
     for (int i = 0; i < 7; ++i) busy.add_vm(cloud::make_load_cpu_vm("b" + std::to_string(i)));
 
-    consolidation::ConsolidationPolicy policy;
-    const consolidation::ConsolidationManager mgr(policy, planner, host_power);
-    const auto to_busy =
-        planner.forecast(mgr.scenario_for(dc, *a.vm("cache"), a, busy, link_rate));
-    const auto to_idle =
-        planner.forecast(mgr.scenario_for(dc, *a.vm("cache"), a, idle, link_rate));
+    const plan::Fleet fleet = plan::Fleet::from_datacenter(dc, 0.0);
+    const int source = fleet.host_index("hostA");
+    const int cache = fleet.host(source).vms.front();
+    const core::MigrationPlanner forecaster(model);
+    const auto to_busy = forecaster.forecast(
+        plan::move_scenario(fleet, config, cache, source, fleet.host_index("busy")));
+    const auto to_idle = forecaster.forecast(
+        plan::move_scenario(fleet, config, cache, source, fleet.host_index("idle")));
 
     std::puts("\nScene 2: where to consolidate a 95%-dirtying-ratio cache VM?");
     std::printf("  -> busy host: %.1f kJ, transfer %.1f s, downtime %.1f s%s\n",

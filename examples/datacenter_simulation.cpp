@@ -9,7 +9,6 @@
 // Build & run:  ./build/examples/datacenter_simulation
 #include <cstdio>
 
-#include "core/planner.hpp"
 #include "core/wavm3_model.hpp"
 #include "dcsim/simulation.hpp"
 #include "exp/campaign.hpp"
@@ -24,7 +23,6 @@ int main() {
       exp::run_campaign(exp::testbed_m(), exp::fast_campaign_options(), 2015);
   core::Wavm3Model model;
   model.fit(campaign.dataset);
-  const core::MigrationPlanner planner(model);
 
   const auto scenario = [&](dcsim::Strategy strategy) {
     dcsim::DcSimConfig cfg = dcsim::make_fleet_scenario(/*n_hosts=*/6, /*n_vms=*/16,
@@ -47,7 +45,7 @@ int main() {
         dcsim::Strategy::kCostAware}) {
     dcsim::DataCenterSimulation sim(
         scenario(strategy),
-        strategy == dcsim::Strategy::kNoConsolidation ? nullptr : &planner);
+        strategy == dcsim::Strategy::kNoConsolidation ? nullptr : &model);
     const dcsim::DcSimReport report = sim.run();
     const double kwh = report.total_energy_joules / 3.6e6;
     if (strategy == dcsim::Strategy::kNoConsolidation) baseline_energy = kwh;

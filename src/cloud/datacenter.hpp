@@ -1,6 +1,7 @@
 // Data centre: the set of hosts plus the network topology connecting
-// them. The consolidation manager and the experiment harness operate on
-// this container.
+// them. The migration engine, the experiment harness and dcsim's
+// controller (through plan::Fleet::from_datacenter) operate on this
+// container.
 #pragma once
 
 #include <map>

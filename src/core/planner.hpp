@@ -2,8 +2,8 @@
 // workload signature, the load on both hosts, and the link), forecast
 // phase durations, transferred data, downtime, and — through a fitted
 // WAVM3 model — the energy each host will spend. This is the interface
-// a consolidation manager calls before deciding to migrate (the SVIII
-// use-case), with no simulator in the loop: the pre-copy dynamics are
+// a consolidation planner (plan::MigrationPlanner) calls before
+// deciding to migrate (the SVIII use-case), with no simulator in the loop: the pre-copy dynamics are
 // evaluated in closed form with the same laws the engine uses.
 #pragma once
 

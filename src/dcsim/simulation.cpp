@@ -7,6 +7,7 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "plan/strategy.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
@@ -68,18 +69,19 @@ void emit_fault_instants(const faults::FaultPlan& plan) {
 /// All mutable simulation state; lives only inside run().
 struct DataCenterSimulation::Runtime {
   const DcSimConfig& cfg;
-  const core::MigrationPlanner* planner;
 
   sim::Simulator sim;
   cloud::DataCenter dc;
   power::HostPowerModel power_model;
   std::unique_ptr<migration::MigrationEngine> engine;
-  std::unique_ptr<consolidation::ConsolidationManager> manager;
+  std::unique_ptr<plan::MigrationPlanner> planner;  ///< null without a model
 
   std::set<std::string> powered_off;
   /// One queued move of the plan being executed, with its retry count.
   struct PendingMove {
-    consolidation::MigrationProposal proposal;
+    std::string vm_id;
+    std::string source;
+    std::string target;
     int attempts = 0;
   };
   std::deque<PendingMove> pending;  ///< plan being executed
@@ -97,8 +99,8 @@ struct DataCenterSimulation::Runtime {
   /// Controller rounds by strategy, in the global obs registry.
   obs::Counter& rounds_counter;
 
-  explicit Runtime(const DcSimConfig& config, const core::MigrationPlanner* pl)
-      : cfg(config), planner(pl), power_model(config.power),
+  explicit Runtime(const DcSimConfig& config)
+      : cfg(config), power_model(config.power),
         rounds_counter(obs::registry().counter("dcsim_controller_rounds_total",
                                                "Fleet controller ticks executed",
                                                {{"strategy", to_string(config.strategy)}})) {}
@@ -121,6 +123,7 @@ struct DataCenterSimulation::Runtime {
 
   /// Outcome bookkeeping shared by plan and overload-relief moves.
   void account_migration(const migration::MigrationRecord& r) {
+    report.migration_log.push_back(r);
     if (r.completed) {
       ++report.migrations_executed;
       performance_sum += r.vm_mean_performance;
@@ -144,12 +147,11 @@ struct DataCenterSimulation::Runtime {
     while (!pending.empty()) {
       const PendingMove move = pending.front();
       pending.pop_front();
-      const consolidation::MigrationProposal& prop = move.proposal;
-      cloud::Host* source = dc.host(prop.source);
-      cloud::Host* target = dc.host(prop.target);
-      if (source == nullptr || target == nullptr || !source->has_vm(prop.vm_id)) continue;
+      cloud::Host* source = dc.host(move.source);
+      cloud::Host* target = dc.host(move.target);
+      if (source == nullptr || target == nullptr || !source->has_vm(move.vm_id)) continue;
       try {
-        engine->migrate(prop.vm_id, prop.source, prop.target, cfg.policy.migration_type, {},
+        engine->migrate(move.vm_id, move.source, move.target, cfg.policy.migration_type, {},
                         [this, move](const migration::MigrationRecord& r) {
                           account_migration(r);
                           // A rolled-back move left the world as it was:
@@ -247,22 +249,31 @@ struct DataCenterSimulation::Runtime {
     }
   }
 
+  /// Plans a what-if beam wave on a snapshot of the live fleet and
+  /// queues the moves of the donor whose vacate nets the most energy.
   void try_consolidate(double now) {
-    const auto plans = manager->plan(dc, net::Link(cfg.link).max_payload_rate(), powered_off,
-                                     now);
-    for (const auto& plan : plans) {
-      if (cfg.strategy == Strategy::kCostAware && !plan.beneficial) {
+    plan::Fleet fleet = plan::Fleet::from_datacenter(dc, now, powered_off);
+    const plan::WavePlan wave =
+        planner->plan_wave(fleet, plan::BeamSearchStrategy{}, now, /*commit=*/false);
+    const std::vector<plan::DonorLedger> ledger = plan::donor_ledger(wave, planner->config());
+    const plan::DonorLedger* chosen = nullptr;
+    for (const plan::DonorLedger& donor : ledger) {
+      if (cfg.strategy == Strategy::kCostAware && donor.net_j <= 0.0) {
         ++report.plans_rejected_by_cost;
         continue;
       }
-      vacating_host = plan.vacated_host;
-      pending.clear();
-      for (const consolidation::MigrationProposal& m : plan.migrations) {
-        pending.push_back(PendingMove{m, 0});
-      }
-      execute_next_migration();
-      return;  // one plan at a time
+      // The ledger is in host order, so a tie keeps the lower index.
+      if (chosen == nullptr || donor.net_j > chosen->net_j) chosen = &donor;
     }
+    if (chosen == nullptr) return;
+    vacating_host = fleet.host(chosen->host).spec.name;
+    pending.clear();
+    for (const plan::ScheduledMove& m : wave.moves) {
+      if (m.source != chosen->host) continue;
+      pending.push_back(
+          PendingMove{fleet.vm(m.vm).id, vacating_host, fleet.host(m.target).spec.name, 0});
+    }
+    execute_next_migration();  // one plan at a time
   }
 
   void controller_tick() {
@@ -286,22 +297,33 @@ struct DataCenterSimulation::Runtime {
   }
 };
 
-DataCenterSimulation::DataCenterSimulation(DcSimConfig config,
-                                           const core::MigrationPlanner* planner)
-    : config_(std::move(config)), planner_(planner) {
+plan::PlannerConfig planner_config(const DcSimConfig& config) {
+  plan::PlannerConfig pc;
+  pc.policy = config.policy;
+  pc.host_power.idle_watts = config.power.idle_watts;
+  pc.host_power.watts_per_vcpu = config.power.watts_per_vcpu;
+  pc.migration = config.migration;
+  pc.bandwidth = config.bandwidth;
+  pc.intra_group_payload_rate = net::Link(config.link).max_payload_rate();
+  pc.inter_group_payload_rate = pc.intra_group_payload_rate;
+  return pc;
+}
+
+DataCenterSimulation::DataCenterSimulation(DcSimConfig config, const core::Wavm3Model* model)
+    : config_(std::move(config)), model_(model) {
   WAVM3_REQUIRE(config_.hosts.size() >= 2, "need at least two hosts");
   WAVM3_REQUIRE(config_.duration > 0.0, "duration must be positive");
   WAVM3_REQUIRE(config_.controller_interval > 0.0, "controller interval must be positive");
   WAVM3_REQUIRE(config_.power_sample_period > 0.0, "sample period must be positive");
-  WAVM3_REQUIRE(config_.strategy == Strategy::kNoConsolidation || planner_ != nullptr,
-                "consolidating strategies need a planner");
+  WAVM3_REQUIRE(config_.strategy == Strategy::kNoConsolidation || model_ != nullptr,
+                "consolidating strategies need a model");
 }
 
 DcSimReport DataCenterSimulation::run() {
   WAVM3_REQUIRE(!ran_, "a DataCenterSimulation is single-use");
   ran_ = true;
 
-  Runtime rt(config_, planner_);
+  Runtime rt(config_);
   rt.report.strategy = config_.strategy;
   rt.report.duration = config_.duration;
 
@@ -325,12 +347,8 @@ DcSimReport DataCenterSimulation::run() {
     rt.engine->set_fault_plan(config_.faults);
     emit_fault_instants(*config_.faults);
   }
-  if (planner_ != nullptr) {
-    consolidation::HostPowerEstimate estimate;
-    estimate.idle_watts = config_.power.idle_watts;
-    estimate.watts_per_vcpu = config_.power.watts_per_vcpu;
-    rt.manager = std::make_unique<consolidation::ConsolidationManager>(config_.policy,
-                                                                       *planner_, estimate);
+  if (model_ != nullptr) {
+    rt.planner = std::make_unique<plan::MigrationPlanner>(*model_, planner_config(config_));
   }
 
   // Initial power sample, then periodic accounting and control.

@@ -5,9 +5,11 @@
 //
 // A fleet of homogeneous hosts runs VMs with time-varying load
 // profiles. A controller periodically (1) relieves overloaded hosts and
-// (2) consolidates underutilised ones, executing the chosen migrations
-// through the migration engine and powering vacated hosts off. Total
-// energy is integrated from the ground-truth power of every host, so
+// (2) consolidates underutilised ones: it plans a what-if wave through
+// plan::MigrationPlanner on a plan::Fleet snapshot of the live data
+// centre, executes the chosen donor's migrations one at a time through
+// the migration engine and powers the vacated host off. Total energy
+// is integrated from the ground-truth power of every host, so
 // different consolidation strategies can be compared end to end:
 //
 //   kNoConsolidation  - never migrate (baseline)
@@ -15,6 +17,7 @@
 //                       migrations themselves will cost
 //   kCostAware        - vacate only when the WAVM3 forecast says the
 //                       moves pay for themselves within the horizon
+//                       (plan::donor_ledger net > 0)
 #pragma once
 
 #include <map>
@@ -23,12 +26,12 @@
 #include <vector>
 
 #include "cloud/datacenter.hpp"
-#include "consolidation/manager.hpp"
-#include "core/planner.hpp"
+#include "core/wavm3_model.hpp"
 #include "dcsim/traced_workload.hpp"
 #include "faults/fault_plan.hpp"
 #include "migration/engine.hpp"
 #include "net/bandwidth_model.hpp"
+#include "plan/planner.hpp"
 #include "power/host_power_model.hpp"
 
 namespace wavm3::dcsim {
@@ -59,7 +62,7 @@ struct DcSimConfig {
   double controller_interval = 300.0;      ///< consolidation check cadence
   double power_sample_period = 2.0;        ///< energy-accounting resolution
   double standby_watts = 0.0;              ///< draw of a powered-off host
-  consolidation::ConsolidationPolicy policy;
+  plan::ConsolidationPolicy policy;
   Strategy strategy = Strategy::kCostAware;
   /// Optional fault schedule injected into the migration engine (link
   /// faults, overload spikes, connection losses). Failed plan moves
@@ -82,7 +85,7 @@ struct DcSimReport {
   /// the engine already restarted them on the target.
   std::map<std::string, int> migration_failures_by_cause;
   double wasted_migration_bytes = 0.0;       ///< traffic of failed migrations
-  int plans_rejected_by_cost = 0;            ///< cost-aware refusals
+  int plans_rejected_by_cost = 0;            ///< cost-aware refusals, one per donor per tick
   int power_off_events = 0;
   int power_on_events = 0;
   double total_migration_downtime = 0.0;
@@ -91,14 +94,25 @@ struct DcSimReport {
   /// slowdown column. 1.0 when no migration ran.
   double mean_migration_performance = 1.0;
   double final_powered_on_hosts = 0.0;
+  /// Every finished migration attempt (plan moves, their retries and
+  /// relief moves) in execution order; the controller runs one at a
+  /// time.
+  std::vector<migration::MigrationRecord> migration_log;
 };
 
-/// Runs one configured simulation. The planner is required for
-/// kCostBlind/kCostAware (it prices and routes the moves); it may be
-/// null for kNoConsolidation.
+/// The planner configuration the controller plans under: the policy,
+/// the machine class's idle and per-vCPU power, the migration and
+/// bandwidth settings, and the default link's payload rate within and
+/// across racks.
+plan::PlannerConfig planner_config(const DcSimConfig& config);
+
+/// Runs one configured simulation. The model is required for
+/// kCostBlind/kCostAware (a plan::MigrationPlanner over it prices and
+/// places the moves); it may be null for kNoConsolidation. It must
+/// outlive run().
 class DataCenterSimulation {
  public:
-  DataCenterSimulation(DcSimConfig config, const core::MigrationPlanner* planner);
+  DataCenterSimulation(DcSimConfig config, const core::Wavm3Model* model);
 
   /// Executes the simulation to `config.duration` and returns the report.
   /// A simulation object is single-use.
@@ -108,7 +122,7 @@ class DataCenterSimulation {
   struct Runtime;  // owns simulator, datacenter, engine, controller state
 
   DcSimConfig config_;
-  const core::MigrationPlanner* planner_;
+  const core::Wavm3Model* model_;
   bool ran_ = false;
 };
 

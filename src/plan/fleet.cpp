@@ -170,31 +170,23 @@ Fleet Fleet::synthetic(int n_hosts, int n_vms, std::uint64_t seed,
   return fleet;
 }
 
-Fleet Fleet::from_config(const dcsim::DcSimConfig& cfg, double now, double history_s,
-                         double sample_period_s) {
-  WAVM3_REQUIRE(history_s > 0.0 && sample_period_s > 0.0,
-                "from_config needs positive history and sample period");
+Fleet Fleet::from_datacenter(const cloud::DataCenter& dc, double now,
+                             const std::set<std::string>& powered_off) {
   Fleet fleet;
-  for (const cloud::HostSpec& spec : cfg.hosts) fleet.add_host(spec);
-
-  const double t0 = std::max(0.0, now - history_s);
-  for (const dcsim::VmPlacement& p : cfg.vms) {
-    const int host = fleet.host_index(p.host);
-    WAVM3_REQUIRE(host >= 0, "from_config: placement names unknown host: " + p.host);
-    FleetVm vm;
-    vm.id = p.vm_id;
-    vm.vcpus = static_cast<double>(p.workload.vcpus);
-    vm.ram_bytes = p.spec.ram_bytes;
-    vm.working_set_pages = p.workload.working_set_pages;
-    for (double t = t0; t <= now + 1e-9; t += sample_period_s) {
-      const double frac = p.workload.profile.fraction_at(t);
-      vm.history.t.push_back(t);
-      vm.history.cpu.push_back(frac * vm.vcpus);
-      vm.history.dirty.push_back(frac * p.workload.dirty_pages_per_s_full);
+  for (const cloud::Host* h : dc.hosts()) {
+    const int host = fleet.add_host(h->spec());
+    fleet.set_powered(host, powered_off.count(h->name()) == 0);
+    for (const cloud::VmPtr& v : h->vms()) {
+      FleetVm vm;
+      vm.id = v->id();
+      vm.vcpus = static_cast<double>(v->spec().vcpus);
+      vm.ram_bytes = v->spec().ram_bytes;
+      vm.working_set_pages = v->working_set_pages();
+      vm.cpu_now = v->cpu_demand(now);
+      vm.dirty_now = v->dirty_page_rate(now);
+      fleet.add_vm(std::move(vm), host);
     }
-    fleet.add_vm(std::move(vm), host);
   }
-  fleet.refresh_loads(now, history_s);
   return fleet;
 }
 

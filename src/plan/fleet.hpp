@@ -7,20 +7,20 @@
 // 20k-VM wave fits comfortably in cache-friendly vectors.
 //
 // Population paths: synthetic() (seeded scenario generator with
-// periodic and aperiodic workloads), from_config() (bridge from a
-// dcsim::DcSimConfig, sampling each VM's LoadProfile into a history),
-// and from_csv() (external host/VM spec files).
+// periodic and aperiodic workloads), from_datacenter() (a point-in-time
+// snapshot of a live cloud::DataCenter, as dcsim's controller plans
+// on), and from_csv() (external host/VM spec files).
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
+#include <set>
 #include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
-#include "cloud/host.hpp"
-#include "dcsim/simulation.hpp"
+#include "cloud/datacenter.hpp"
 
 namespace wavm3::plan {
 
@@ -119,10 +119,12 @@ class Fleet {
   static Fleet synthetic(int n_hosts, int n_vms, std::uint64_t seed,
                          const SyntheticFleetOptions& opts = {});
 
-  /// Bridge from a dcsim scenario: samples each placement's
-  /// LoadProfile over [now - history_s, now] at sample_period_s.
-  static Fleet from_config(const dcsim::DcSimConfig& cfg, double now, double history_s,
-                           double sample_period_s);
+  /// Snapshot of a live data centre at `now`: every host in name
+  /// order, powered unless named in `powered_off`, and every VM with
+  /// cpu_now/dirty_now set to its instantaneous demand and dirtying
+  /// rate. Histories stay empty, so refresh_loads keeps those values.
+  static Fleet from_datacenter(const cloud::DataCenter& dc, double now,
+                               const std::set<std::string>& powered_off = {});
 
   /// Loads a fleet from CSV specs.
   /// Hosts header: name,vcpus,ram_gib,nic_gbit,group,max_migrations

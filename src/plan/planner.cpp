@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <limits>
+#include <map>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -138,8 +139,35 @@ core::MigrationScenario move_scenario(const Fleet& fleet, const PlannerConfig& c
   return sc;
 }
 
+std::vector<DonorLedger> donor_ledger(const WavePlan& wave, const PlannerConfig& config) {
+  std::map<int, DonorLedger> by_host;
+  for (const ScheduledMove& move : wave.moves) {
+    DonorLedger& donor = by_host[move.source];
+    donor.host = move.source;
+    ++donor.moves;
+    donor.migration_energy_j += move.energy_j;
+  }
+  const double saving = config.host_power.power(0.0) * config.policy.horizon_seconds;
+  std::vector<DonorLedger> ledger;
+  ledger.reserve(by_host.size());
+  for (auto& [host, donor] : by_host) {
+    donor.steady_saving_j = saving;
+    donor.net_j = saving - donor.migration_energy_j;
+    ledger.push_back(donor);
+  }
+  return ledger;
+}
+
 MigrationPlanner::MigrationPlanner(const models::EnergyModel& model, PlannerConfig config)
     : forecaster_(require_wavm3(model)), config_(std::move(config)) {
+  const ConsolidationPolicy& policy = config_.policy;
+  WAVM3_REQUIRE(policy.underload_fraction > 0.0 && policy.underload_fraction < 1.0,
+                "underload fraction must be in (0,1)");
+  WAVM3_REQUIRE(policy.overload_fraction > policy.underload_fraction &&
+                    policy.overload_fraction <= 1.0,
+                "overload fraction must exceed the underload fraction");
+  WAVM3_REQUIRE(policy.horizon_seconds > 0.0, "horizon must be positive");
+  WAVM3_REQUIRE(policy.max_retries >= 0, "retry bound must be non-negative");
   WAVM3_REQUIRE(config_.candidate_targets > 0, "planner needs at least one candidate target");
   WAVM3_REQUIRE(config_.load_window_s > 0.0 && config_.wave_horizon_s > 0.0,
                 "planner windows must be positive");

@@ -28,7 +28,6 @@
 #include <utility>
 #include <vector>
 
-#include "consolidation/manager.hpp"
 #include "core/planner.hpp"
 #include "models/energy_model.hpp"
 #include "plan/cycle_detector.hpp"
@@ -36,12 +35,35 @@
 
 namespace wavm3::plan {
 
+/// Thresholds and horizon of the consolidation policy.
+struct ConsolidationPolicy {
+  double underload_fraction = 0.30;  ///< hosts below this CPU fraction are vacate candidates
+  double overload_fraction = 0.90;   ///< never load a target beyond this fraction
+  double horizon_seconds = 3600.0;   ///< period the vacated host would stay off
+  migration::MigrationType migration_type = migration::MigrationType::kLive;
+  /// How often a rolled-back plan migration is re-attempted before the
+  /// executor gives up on it (failures waste energy, so retries are
+  /// bounded; the next controller tick replans from the new snapshot).
+  int max_retries = 2;
+};
+
+/// Observable steady-state host power estimate used for the benefit
+/// side of the ledger (idle draw + linear CPU term; the planner has no
+/// access to ground truth either).
+struct HostPowerEstimate {
+  double idle_watts = 430.0;
+  double watts_per_vcpu = 11.0;
+
+  double power(double cpu_vcpus) const { return idle_watts + watts_per_vcpu * cpu_vcpus; }
+};
+
 struct PlannerConfig {
-  /// Underload/overload thresholds, planning horizon, migration type —
-  /// shared with the dcsim consolidation controller.
-  consolidation::ConsolidationPolicy policy;
+  /// Underload/overload thresholds, planning horizon, migration type
+  /// and retry bound — also what dcsim's controller and chaos's
+  /// executor plan and execute under.
+  ConsolidationPolicy policy;
   /// Benefit side of the ledger (idle draw of a vacated host).
-  consolidation::HostPowerEstimate host_power;
+  HostPowerEstimate host_power;
   migration::MigrationConfig migration;
   net::BandwidthModelParams bandwidth;
 
@@ -158,6 +180,21 @@ struct WavePlan {
   double wave_seconds = 0.0;              ///< wall time of the whole wave
 };
 
+/// The vacate decision of one donor in a wave (the paper's SVIII use
+/// case): what emptying the host costs against what powering it off
+/// saves.
+struct DonorLedger {
+  int host = -1;
+  std::size_t moves = 0;
+  double migration_energy_j = 0.0;  ///< summed forecast energy of the donor's moves
+  double steady_saving_j = 0.0;     ///< idle draw over the policy horizon
+  double net_j = 0.0;               ///< saving - migration energy; > 0 is worth vacating
+};
+
+/// Groups a wave's moves by source host, in host-index order. The
+/// savings sum to `wave.steady_saving_j`.
+std::vector<DonorLedger> donor_ledger(const WavePlan& wave, const PlannerConfig& config);
+
 /// Link payload rate (bytes/s) between two hosts: the config's intra-
 /// or inter-group rate, capped by both NICs' payload rates.
 double payload_rate(const PlannerConfig& config, const cloud::HostSpec& src,
@@ -173,9 +210,11 @@ core::MigrationScenario move_scenario(const Fleet& fleet, const PlannerConfig& c
 /// Plans rolling consolidation waves over a fleet.
 class MigrationPlanner {
  public:
-  /// `model` must be a core::Wavm3Model (util::ContractError
-  /// otherwise), outlive the planner, and be fitted for the policy's
-  /// migration type.
+  /// `model` must be a core::Wavm3Model, outlive the planner, and be
+  /// fitted for the policy's migration type. Throws
+  /// util::ContractError for another model or an invalid policy
+  /// (thresholds out of order, non-positive horizon, negative retry
+  /// bound).
   MigrationPlanner(const models::EnergyModel& model, PlannerConfig config = {});
 
   const PlannerConfig& config() const { return config_; }

@@ -6,12 +6,14 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <memory>
+#include <vector>
 
-#include "core/planner.hpp"
 #include "core/wavm3_model.hpp"
 #include "dcsim/load_profile.hpp"
 #include "dcsim/simulation.hpp"
 #include "dcsim/traced_workload.hpp"
+#include "plan/strategy.hpp"
 #include "test_helpers.hpp"
 #include "util/error.hpp"
 #include "util/units.hpp"
@@ -26,11 +28,6 @@ const core::Wavm3Model& model() {
     return model;
   }();
   return m;
-}
-
-const core::MigrationPlanner& planner() {
-  static const core::MigrationPlanner p(model());
-  return p;
 }
 
 TEST(LoadProfile, ConstantHoldsForever) {
@@ -151,7 +148,7 @@ TEST(Simulation, CostAwareConsolidationSavesEnergy) {
   DataCenterSimulation baseline(small_config(Strategy::kNoConsolidation), nullptr);
   const DcSimReport r_base = baseline.run();
 
-  DataCenterSimulation aware(small_config(Strategy::kCostAware), &planner());
+  DataCenterSimulation aware(small_config(Strategy::kCostAware), &model());
   const DcSimReport r_aware = aware.run();
 
   EXPECT_GT(r_aware.migrations_executed, 0);
@@ -173,7 +170,7 @@ TEST(Simulation, CostAwareRejectsUnprofitablePlans) {
         static_cast<std::uint64_t>(0.9 * vm.spec.ram_bytes / util::kPageSize);
     vm.workload.profile = LoadProfile::constant(0.9);
   }
-  DataCenterSimulation sim(cfg, &planner());
+  DataCenterSimulation sim(cfg, &model());
   const DcSimReport report = sim.run();
   EXPECT_EQ(report.power_off_events, 0);
   EXPECT_GT(report.plans_rejected_by_cost, 0);
@@ -182,10 +179,62 @@ TEST(Simulation, CostAwareRejectsUnprofitablePlans) {
 TEST(Simulation, CostBlindExecutesWhatAwareRejects) {
   DcSimConfig cfg = small_config(Strategy::kCostBlind);
   cfg.policy.horizon_seconds = 1.0;  // worthless savings, blind does it anyway
-  DataCenterSimulation blind(cfg, &planner());
+  DataCenterSimulation blind(cfg, &model());
   const DcSimReport report = blind.run();
   EXPECT_GT(report.migrations_executed, 0);
   EXPECT_GT(report.power_off_events, 0);
+}
+
+TEST(Simulation, FirstConsolidatingTickQueuesThePlannedDonorsMoves) {
+  // The controller plans through plan::MigrationPlanner: the moves it
+  // executes after its first tick are exactly the what-if wave's moves
+  // off the donor with the largest net ledger, in wave order. Six
+  // quiet hosts give the wave three donors to choose from.
+  DcSimConfig cfg = make_fleet_scenario(6, 12, 11);
+  cfg.duration = 3600.0;
+  cfg.power_sample_period = 5.0;
+  cfg.strategy = Strategy::kCostAware;
+  cfg.policy.underload_fraction = 0.45;
+  for (auto& vm : cfg.vms) vm.workload.profile = LoadProfile::constant(0.1);
+  DataCenterSimulation sim(cfg, &model());
+  const DcSimReport report = sim.run();
+
+  // The data centre as it stands at the first tick (no relief move
+  // precedes it: nothing is overloaded).
+  const double now = cfg.controller_interval;
+  cloud::DataCenter dc;
+  for (const cloud::HostSpec& spec : cfg.hosts) dc.add_host(spec);
+  for (const VmPlacement& p : cfg.vms) {
+    auto vm = std::make_shared<cloud::Vm>(p.vm_id, p.spec);
+    vm->set_workload(std::make_shared<TracedWorkload>(p.workload));
+    vm->start();
+    dc.host(p.host)->add_vm(std::move(vm));
+  }
+  plan::Fleet fleet = plan::Fleet::from_datacenter(dc, now);
+  plan::MigrationPlanner planner(model(), planner_config(cfg));
+  const plan::WavePlan wave =
+      planner.plan_wave(fleet, plan::BeamSearchStrategy{}, now, /*commit=*/false);
+  const std::vector<plan::DonorLedger> ledger = plan::donor_ledger(wave, planner.config());
+  ASSERT_GE(ledger.size(), 2u);
+  const plan::DonorLedger* chosen = &ledger.front();
+  for (const plan::DonorLedger& d : ledger) {
+    if (d.net_j > chosen->net_j) chosen = &d;
+  }
+  ASSERT_GT(chosen->net_j, 0.0);
+
+  std::vector<plan::ScheduledMove> expected;
+  for (const plan::ScheduledMove& m : wave.moves) {
+    if (m.source == chosen->host) expected.push_back(m);
+  }
+  ASSERT_FALSE(expected.empty());
+  ASSERT_GE(report.migration_log.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    const migration::MigrationRecord& r = report.migration_log[i];
+    EXPECT_EQ(r.vm_id, fleet.vm(expected[i].vm).id) << "move " << i;
+    EXPECT_EQ(r.source, fleet.host(expected[i].source).spec.name) << "move " << i;
+    EXPECT_EQ(r.target, fleet.host(expected[i].target).spec.name) << "move " << i;
+  }
+  EXPECT_DOUBLE_EQ(report.migration_log.front().times.ms, now);
 }
 
 TEST(Simulation, SingleUseGuard) {
@@ -221,7 +270,7 @@ TEST(Simulation, OverloadedHostShedsLoad) {
     p.workload.vcpus = 4;
     cfg.vms.push_back(std::move(p));
   }
-  DataCenterSimulation sim(cfg, &planner());
+  DataCenterSimulation sim(cfg, &model());
   const DcSimReport report = sim.run();
   EXPECT_GT(report.migrations_executed, 0);  // relief migrations happened
 }

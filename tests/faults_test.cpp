@@ -9,7 +9,7 @@
 
 #include "cloud/datacenter.hpp"
 #include "cloud/instances.hpp"
-#include "core/planner.hpp"
+#include "core/wavm3_model.hpp"
 #include "dcsim/simulation.hpp"
 #include "faults/fault_plan.hpp"
 #include "migration/engine.hpp"
@@ -403,13 +403,12 @@ TEST(DcSimFaults, FailedMigrationsAreCountedAndRetried) {
 
   core::Wavm3Model model;
   model.fit(wavm3::testing::fast_campaign_m().dataset);
-  const core::MigrationPlanner planner(model);
 
   dcsim::DcSimConfig cfg = dcsim::make_fleet_scenario(4, 12, 99);
   cfg.duration = 4.0 * 3600.0;
   cfg.strategy = dcsim::Strategy::kCostBlind;
   cfg.faults = plan;
-  dcsim::DataCenterSimulation sim(cfg, &planner);
+  dcsim::DataCenterSimulation sim(cfg, &model);
   const dcsim::DcSimReport r = sim.run();
 
   EXPECT_GT(r.migrations_failed, 0);
@@ -418,7 +417,7 @@ TEST(DcSimFaults, FailedMigrationsAreCountedAndRetried) {
   EXPECT_LE(r.migrations_retried, r.migrations_failed);
 
   // Same config, same faults -> identical report.
-  dcsim::DataCenterSimulation again(cfg, &planner);
+  dcsim::DataCenterSimulation again(cfg, &model);
   const dcsim::DcSimReport r2 = again.run();
   EXPECT_EQ(r.migrations_failed, r2.migrations_failed);
   EXPECT_EQ(r.migrations_retried, r2.migrations_retried);
@@ -435,13 +434,12 @@ TEST(DcSimFaults, RetriesAreCappedPerMigrationWithCauseAttribution) {
 
   core::Wavm3Model model;
   model.fit(wavm3::testing::fast_campaign_m().dataset);
-  const core::MigrationPlanner planner(model);
 
   dcsim::DcSimConfig cfg = dcsim::make_fleet_scenario(4, 12, 99);
   cfg.duration = 4.0 * 3600.0;
   cfg.strategy = dcsim::Strategy::kCostBlind;
   cfg.faults = plan;
-  dcsim::DataCenterSimulation sim(cfg, &planner);
+  dcsim::DataCenterSimulation sim(cfg, &model);
   const dcsim::DcSimReport r = sim.run();
 
   EXPECT_EQ(r.migrations_executed, 0);
@@ -465,14 +463,13 @@ TEST(DcSimFaults, LostVmsAreCountedButNeverRetried) {
 
   core::Wavm3Model model;
   model.fit(wavm3::testing::fast_campaign_m().dataset);
-  const core::MigrationPlanner planner(model);
 
   dcsim::DcSimConfig cfg = dcsim::make_fleet_scenario(4, 12, 99);
   cfg.duration = 4.0 * 3600.0;
   cfg.strategy = dcsim::Strategy::kCostBlind;
   cfg.policy.migration_type = MigrationType::kPostCopy;
   cfg.faults = plan;
-  dcsim::DataCenterSimulation sim(cfg, &planner);
+  dcsim::DataCenterSimulation sim(cfg, &model);
   const dcsim::DcSimReport r = sim.run();
 
   ASSERT_GT(r.migrations_failed, 0);

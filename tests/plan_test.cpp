@@ -1,6 +1,7 @@
 // src/plan/: fleet model, workload-cycle detection, candidate pricing
-// through core::MigrationPlanner::forecast, and wave planning with the
-// bundled placement strategies.
+// through core::MigrationPlanner::forecast, wave planning with the
+// bundled placement strategies, and the per-donor vacate decision of
+// the paper's SVIII use case (donor_ledger over a data-centre snapshot).
 #include <cmath>
 #include <map>
 #include <sstream>
@@ -8,11 +9,13 @@
 
 #include <gtest/gtest.h>
 
+#include "cloud/instances.hpp"
 #include "models/huang.hpp"
 #include "plan/cycle_detector.hpp"
 #include "plan/fleet.hpp"
 #include "plan/planner.hpp"
 #include "plan/strategy.hpp"
+#include "test_helpers.hpp"
 #include "util/error.hpp"
 #include "util/units.hpp"
 
@@ -496,6 +499,188 @@ TEST(MigrationPlanner, WavesRollForward) {
     now += 1800.0;
   }
   EXPECT_LT(prev, 24);
+}
+
+// ------------------------------------------------- the vacate decision
+//
+// Suite "Manager": the consolidation-manager actor of the paper's
+// SIII-B(a), which decides whether vacating an underloaded host is
+// worth its migration energy. Hosts and VMs come from cloud::
+// instances through Fleet::from_datacenter.
+
+const core::Wavm3Model& fitted_model() {
+  static const core::Wavm3Model m = [] {
+    core::Wavm3Model model;
+    model.fit(wavm3::testing::fast_campaign_m().dataset);
+    return model;
+  }();
+  return m;
+}
+
+PlannerConfig m_config() {
+  PlannerConfig config;
+  config.host_power.idle_watts = 433.0;
+  config.host_power.watts_per_vcpu = 12.0;
+  return config;
+}
+
+cloud::HostSpec host32(const std::string& name) {
+  cloud::HostSpec h;
+  h.name = name;
+  h.vcpus = 32;
+  h.ram_bytes = util::gib(32);
+  return h;
+}
+
+/// One what-if beam wave over a snapshot of `dc`, with its ledger.
+struct VacatePlan {
+  Fleet fleet;
+  WavePlan wave;
+  std::vector<DonorLedger> ledger;
+};
+
+VacatePlan plan_vacates(const cloud::DataCenter& dc, const PlannerConfig& config) {
+  VacatePlan out{Fleet::from_datacenter(dc, 0.0), {}, {}};
+  MigrationPlanner planner(fitted_model(), config);
+  out.wave = planner.plan_wave(out.fleet, BeamSearchStrategy{}, 0.0, /*commit=*/false);
+  out.ledger = donor_ledger(out.wave, config);
+  return out;
+}
+
+TEST(Manager, ScenarioMapsLoadsAndVmSignature) {
+  cloud::DataCenter dc;
+  cloud::Host& a = dc.add_host(host32("a"));
+  cloud::Host& b = dc.add_host(host32("b"));
+  a.add_vm(cloud::make_migrating_mem_vm("mv", 0.95));
+  for (int i = 0; i < 3; ++i) b.add_vm(cloud::make_load_cpu_vm("l" + std::to_string(i)));
+
+  const Fleet fleet = Fleet::from_datacenter(dc, 0.0);
+  const int src = fleet.host_index("a");
+  const core::MigrationScenario sc =
+      move_scenario(fleet, m_config(), fleet.host(src).vms.front(), src, fleet.host_index("b"));
+  EXPECT_DOUBLE_EQ(sc.vm_mem_bytes, util::gib(4));
+  EXPECT_DOUBLE_EQ(sc.vm_cpu_vcpus, 1.0);
+  EXPECT_GT(sc.vm_dirty_pages_per_s, 1e5);
+  // Host loads are the placed VMs' demand (no hypervisor overhead).
+  EXPECT_NEAR(sc.source_cpu_load, a.total_vm_demand(0.0) - 1.0, 1e-9);
+  EXPECT_DOUBLE_EQ(sc.target_cpu_load, b.total_vm_demand(0.0));
+  EXPECT_DOUBLE_EQ(sc.source_cpu_capacity, 32.0);
+}
+
+TEST(Manager, VacatePlanCoversEveryVm) {
+  cloud::DataCenter dc;
+  cloud::Host& a = dc.add_host(host32("a"));
+  dc.add_host(host32("b"));
+  dc.add_host(host32("c"));
+  a.add_vm(cloud::make_load_cpu_vm("v1"));
+  a.add_vm(cloud::make_migrating_cpu_vm("v2"));
+
+  const VacatePlan plan = plan_vacates(dc, m_config());
+  const int src = plan.fleet.host_index("a");
+  ASSERT_EQ(plan.ledger.size(), 1u);
+  EXPECT_EQ(plan.ledger.front().host, src);
+  EXPECT_EQ(plan.ledger.front().moves, 2u);
+  ASSERT_EQ(plan.wave.moves.size(), 2u);
+  for (const ScheduledMove& m : plan.wave.moves) {
+    EXPECT_EQ(m.source, src);
+    EXPECT_NE(m.target, src);
+    EXPECT_GT(m.energy_j, 0.0);
+  }
+  EXPECT_GT(plan.ledger.front().steady_saving_j, 0.0);
+  EXPECT_DOUBLE_EQ(plan.ledger.front().steady_saving_j, plan.wave.steady_saving_j);
+}
+
+TEST(Manager, LongHorizonMakesVacatingBeneficial) {
+  cloud::DataCenter dc;
+  cloud::Host& a = dc.add_host(host32("a"));
+  dc.add_host(host32("b"));
+  a.add_vm(cloud::make_load_cpu_vm("v1"));
+
+  PlannerConfig config = m_config();
+  config.policy.horizon_seconds = 24 * 3600.0;  // a day off saves ~37 MJ
+  const VacatePlan plan = plan_vacates(dc, config);
+  ASSERT_EQ(plan.ledger.size(), 1u);
+  EXPECT_GT(plan.ledger.front().net_j, 0.0);
+  EXPECT_GT(plan.ledger.front().net_j, 1e6);
+}
+
+TEST(Manager, InfeasibleWhenTargetsFull) {
+  cloud::DataCenter dc;
+  cloud::Host& a = dc.add_host(host32("a"));
+  cloud::Host& b = dc.add_host(host32("b"));
+  a.add_vm(cloud::make_load_cpu_vm("v1"));
+  // Saturate the only target beyond the overload threshold.
+  for (int i = 0; i < 8; ++i) b.add_vm(cloud::make_load_cpu_vm("bl" + std::to_string(i)));
+
+  const VacatePlan plan = plan_vacates(dc, m_config());
+  EXPECT_TRUE(plan.ledger.empty());
+  EXPECT_TRUE(plan.wave.moves.empty());
+}
+
+TEST(Manager, PlanScansOnlyUnderloadedHosts) {
+  cloud::DataCenter dc;
+  cloud::Host& light = dc.add_host(host32("light"));
+  cloud::Host& heavy = dc.add_host(host32("heavy"));
+  dc.add_host(host32("spare"));
+  light.add_vm(cloud::make_load_cpu_vm("lv"));                 // ~14% load
+  for (int i = 0; i < 6; ++i) heavy.add_vm(cloud::make_load_cpu_vm("h" + std::to_string(i)));
+
+  PlannerConfig config = m_config();
+  config.policy.underload_fraction = 0.30;
+  const VacatePlan plan = plan_vacates(dc, config);
+  ASSERT_EQ(plan.ledger.size(), 1u);
+  EXPECT_EQ(plan.fleet.host(plan.ledger.front().host).spec.name, "light");
+}
+
+TEST(Manager, HighDirtyVmOntoLoadedHostCostsMore) {
+  // The SVIII guidance: migrating a high-dirtying-ratio VM towards a
+  // CPU-loaded host is the expensive move the model should expose.
+  cloud::DataCenter dc;
+  cloud::Host& src = dc.add_host(host32("src"));
+  dc.add_host(host32("idle"));
+  cloud::Host& busy_tgt = dc.add_host(host32("busy"));
+  src.add_vm(cloud::make_migrating_mem_vm("mv", 0.95));
+  for (int i = 0; i < 7; ++i) busy_tgt.add_vm(cloud::make_load_cpu_vm("b" + std::to_string(i)));
+
+  const Fleet fleet = Fleet::from_datacenter(dc, 0.0);
+  const int source = fleet.host_index("src");
+  const int vm = fleet.host(source).vms.front();
+  const core::MigrationPlanner forecaster(fitted_model());
+  const auto to_idle = forecaster.forecast(
+      move_scenario(fleet, m_config(), vm, source, fleet.host_index("idle")));
+  const auto to_busy = forecaster.forecast(
+      move_scenario(fleet, m_config(), vm, source, fleet.host_index("busy")));
+  // The busy target throttles the transfer and burns more energy.
+  EXPECT_GE(to_busy.times.transfer_duration(), to_idle.times.transfer_duration());
+  EXPECT_GT(to_busy.total_energy(), to_idle.total_energy());
+}
+
+TEST(Manager, PolicyValidation) {
+  // Every caller of the planner (wavm3 plan, dcsim's controller,
+  // chaos's executor) inherits these checks.
+  const core::Wavm3Model model = make_model();
+  const auto rejects = [&](const ConsolidationPolicy& policy) {
+    PlannerConfig config = test_config();
+    config.policy = policy;
+    EXPECT_THROW(MigrationPlanner(model, config), util::ContractError);
+  };
+  ConsolidationPolicy bad;
+  bad.underload_fraction = 0.9;
+  bad.overload_fraction = 0.5;
+  rejects(bad);
+  bad = {};
+  bad.underload_fraction = 0.0;
+  rejects(bad);
+  bad = {};
+  bad.overload_fraction = 1.5;
+  rejects(bad);
+  bad = {};
+  bad.horizon_seconds = 0.0;
+  rejects(bad);
+  bad = {};
+  bad.max_retries = -1;
+  rejects(bad);
+  EXPECT_NO_THROW(MigrationPlanner(model, PlannerConfig{}));
 }
 
 }  // namespace

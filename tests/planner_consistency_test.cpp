@@ -1,7 +1,8 @@
 // Property suite: the closed-form planner must agree with the
 // event-driven engine across the whole scenario space — dirtying
 // fractions, host loads, and all three migration flavours. This is the
-// guarantee that lets the consolidation manager trust forecasts it
+// guarantee that lets plan::MigrationPlanner (and through it dcsim's
+// consolidation controller and chaos's executor) trust forecasts it
 // never simulates.
 #include <gtest/gtest.h>
 

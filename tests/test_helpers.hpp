@@ -1,4 +1,4 @@
-// Shared fixtures for the model/exp/consolidation test suites: reduced
+// Shared fixtures for the model/exp/plan/dcsim test suites: reduced
 // campaigns computed once per process.
 #pragma once
 
