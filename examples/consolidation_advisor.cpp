@@ -44,19 +44,15 @@ void report_plans(const char* label, const cloud::DataCenter& dc,
     std::puts("  (no underutilised host worth vacating)");
     return;
   }
-  const core::MigrationPlanner forecaster(model);
   for (const plan::DonorLedger& d : ledger) {
     std::printf("  vacate %-6s: %zu migration(s), cost %.1f kJ, saving %.1f kJ -> net %+.1f kJ %s\n",
                 fleet.host(d.host).spec.name.c_str(), d.moves, d.migration_energy_j / 1e3,
                 d.steady_saving_j / 1e3, d.net_j / 1e3, d.net_j > 0.0 ? "[DO IT]" : "[SKIP]");
     for (const plan::ScheduledMove& m : wave.moves) {
       if (m.source != d.host) continue;
-      const core::MigrationForecast fc =
-          forecaster.forecast(plan::move_scenario(fleet, config, m.vm, m.source, m.target));
-      std::printf("    %-4s -> %-6s  transfer %.1f s, downtime %.2f s, move cost %.2f kJ%s\n",
+      std::printf("    %-4s -> %-6s  migration %.1f s, downtime %.2f s, move cost %.2f kJ\n",
                   fleet.vm(m.vm).id.c_str(), fleet.host(m.target).spec.name.c_str(),
-                  fc.times.transfer_duration(), m.downtime_s, m.energy_j / 1e3,
-                  fc.degenerated_to_nonlive ? " (pre-copy will not converge!)" : "");
+                  m.end_s - m.start_s, m.downtime_s, m.energy_j / 1e3);
     }
   }
 }

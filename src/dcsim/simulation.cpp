@@ -201,11 +201,14 @@ struct DataCenterSimulation::Runtime {
   }
 
   /// Moves one VM off an overloaded host, powering a standby host on
-  /// when no powered-on target has room.
+  /// when no powered-on target has room. Load is the placed VMs'
+  /// demand, the measure the planner caps its targets on, so relief
+  /// never sheds a VM the last consolidation placed within the cap.
   void relieve_overload(double now) {
+    const double cap = cfg.policy.overload_fraction;
     for (cloud::Host* h : dc.hosts()) {
       if (powered_off.count(h->name()) != 0) continue;
-      if (h->cpu_utilisation(now) <= cfg.policy.overload_fraction) continue;
+      if (h->total_vm_demand(now) <= cap * h->cpu_capacity()) continue;
       const auto vms = h->vms();
       if (vms.size() < 2) continue;  // nothing sensible to shed
 
@@ -220,9 +223,12 @@ struct DataCenterSimulation::Runtime {
       for (cloud::Host* t : dc.hosts()) {
         if (t == h || powered_off.count(t->name()) != 0) continue;
         if (!t->can_fit(vm->spec())) continue;
-        const double after = t->cpu_used(now) + vm->cpu_demand(now);
-        if (after > cfg.policy.overload_fraction * t->cpu_capacity()) continue;
-        if (best == nullptr || t->cpu_utilisation(now) < best->cpu_utilisation(now)) best = t;
+        const double load = t->total_vm_demand(now);
+        if (load + vm->cpu_demand(now) > cap * t->cpu_capacity()) continue;
+        if (best == nullptr ||
+            load / t->cpu_capacity() < best->total_vm_demand(now) / best->cpu_capacity()) {
+          best = t;
+        }
       }
       if (best == nullptr) {
         // Wake a standby machine.

@@ -18,7 +18,9 @@ namespace wavm3::plan {
 namespace {
 
 /// The wave's metric family, labeled by strategy so first-fit and beam
-/// runs stay distinguishable in one registry.
+/// runs stay distinguishable in one registry. Every planned wave counts,
+/// what-if (commit=false) waves included: the counters record what was
+/// planned, not what a caller went on to execute.
 struct PlanMetrics {
   obs::Counter& waves;
   obs::Counter& candidates;
@@ -34,10 +36,10 @@ PlanMetrics plan_metrics(const char* strategy) {
   obs::MetricRegistry& r = obs::registry();
   const obs::Labels labels = {{"strategy", strategy}};
   return PlanMetrics{
-      r.counter("plan_waves_total", "Consolidation waves planned", labels),
+      r.counter("plan_waves_total", "Consolidation waves planned, what-if waves included", labels),
       r.counter("plan_candidates_scored_total", "Candidate (VM, target) moves priced", labels),
-      r.counter("plan_moves_committed_total", "Migrations emitted by wave plans", labels),
-      r.counter("plan_donors_vacated_total", "Donor hosts fully vacated by wave plans", labels),
+      r.counter("plan_moves_committed_total", "Migrations planned by waves, committed or not", labels),
+      r.counter("plan_donors_vacated_total", "Donor hosts a planned wave vacates, committed or not", labels),
       r.counter("plan_cycle_aligned_moves_total",
                 "Moves scheduled into a workload-cycle low-dirtying window", labels),
       r.exponential_histogram("plan_wave_seconds", "Wall time of one planning wave", 1e-4, 2.0,

@@ -237,6 +237,42 @@ TEST(Simulation, FirstConsolidatingTickQueuesThePlannedDonorsMoves) {
   EXPECT_DOUBLE_EQ(report.migration_log.front().times.ms, now);
 }
 
+TEST(Simulation, ConsolidationOntoANearlyFullTargetTriggersNoRelief) {
+  // Relief and the planner measure a host's load the same way (the
+  // placed VMs' demand), so a target the planner fills to just under
+  // the overload cap is not shed again on the next tick. Hypervisor
+  // demand alone would push this target over the cap: 28.76 vCPU of
+  // guests plus 0.65 vCPU of VMM demand against 0.9 x 32 = 28.8.
+  DcSimConfig cfg = make_fleet_scenario(2, 1, 5);
+  cfg.duration = 3600.0;
+  cfg.power_sample_period = 5.0;
+  cfg.strategy = Strategy::kCostAware;
+  cfg.vms.clear();
+  const auto place = [&](const std::string& id, const std::string& host, double load) {
+    VmPlacement p;
+    p.vm_id = id;
+    p.host = host;
+    p.spec.instance_type = "steady";
+    p.spec.vcpus = 4;
+    p.spec.ram_bytes = util::gib(2);
+    p.workload.profile = LoadProfile::constant(load);
+    p.workload.vcpus = 4;
+    cfg.vms.push_back(std::move(p));
+  };
+  for (int i = 0; i < 7; ++i) place("busy" + std::to_string(i), "host00", 0.97);  // 27.16
+  place("light", "host01", 0.4);                                                  // 1.6
+  ASSERT_LE(7 * 4 * 0.97 + 4 * 0.4, cfg.policy.overload_fraction * 32.0);
+
+  DataCenterSimulation sim(cfg, &model());
+  const DcSimReport report = sim.run();
+  ASSERT_EQ(report.migration_log.size(), 1u);
+  EXPECT_EQ(report.migration_log.front().vm_id, "light");
+  EXPECT_EQ(report.migration_log.front().target, "host00");
+  EXPECT_EQ(report.power_off_events, 1);
+  EXPECT_EQ(report.power_on_events, 0);
+  EXPECT_DOUBLE_EQ(report.final_powered_on_hosts, 1.0);
+}
+
 TEST(Simulation, SingleUseGuard) {
   DataCenterSimulation sim(small_config(Strategy::kNoConsolidation), nullptr);
   sim.run();

@@ -621,7 +621,11 @@ TEST(Manager, PlanScansOnlyUnderloadedHosts) {
   cloud::DataCenter dc;
   cloud::Host& light = dc.add_host(host32("light"));
   cloud::Host& heavy = dc.add_host(host32("heavy"));
+  // Two empty receivers: four powered hosts let two donors in per wave,
+  // and heavy's VMs would fit on them, so only the underload threshold
+  // keeps heavy out of the ledger.
   dc.add_host(host32("spare"));
+  dc.add_host(host32("spare2"));
   light.add_vm(cloud::make_load_cpu_vm("lv"));                 // ~14% load
   for (int i = 0; i < 6; ++i) heavy.add_vm(cloud::make_load_cpu_vm("h" + std::to_string(i)));
 
