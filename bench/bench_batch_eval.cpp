@@ -1,5 +1,6 @@
 // Tier-2 bench for the batched prediction path (models::FeatureBatch):
-// paired scalar-vs-batch A/B of the four energy models at batch sizes
+// interleaved scalar-vs-batch A/B rounds (speedups are the median of
+// the per-round ratios) of the four energy models at batch sizes
 // {1, 8, 64, 256, 1024}, both with the batch build included (the
 // apples-to-apples comparison against the predict_energy loop, which
 // rebuilds its single-row batch per call) and eval-only over a
@@ -12,6 +13,7 @@
 // prediction machinery.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -102,30 +104,32 @@ FittedModels fit_models(const models::Dataset& train) {
   return m;
 }
 
-/// Wall-clock seconds of `fn()` repeated until ~`min_time_s` elapsed,
-/// reported as seconds per call; best of three passes, so a scheduler
-/// hiccup in one pass cannot masquerade as a slowdown.
+/// Wall-clock seconds per call of `fn()` over `reps` calls.
 template <typename Fn>
-double time_per_call(double min_time_s, Fn&& fn) {
-  // Warm up (first call pays allocation / cache effects).
+double seconds_per_call(std::size_t reps, Fn& fn) {
+  const auto t0 = std::chrono::steady_clock::now();
+  for (std::size_t r = 0; r < reps; ++r) fn();
+  const double elapsed =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  return elapsed / static_cast<double>(reps);
+}
+
+/// Calls of `fn()` that take at least `min_time_s`, found after one
+/// warm-up call (which pays allocation and cache effects).
+template <typename Fn>
+std::size_t reps_for(double min_time_s, Fn& fn) {
   fn();
-  double best = 0.0;
-  for (int pass = 0; pass < 3; ++pass) {
-    std::size_t reps = 1;
-    for (;;) {
-      const auto t0 = std::chrono::steady_clock::now();
-      for (std::size_t r = 0; r < reps; ++r) fn();
-      const double elapsed =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-      if (elapsed >= min_time_s || reps > (1u << 24)) {
-        const double per_call = elapsed / static_cast<double>(reps);
-        if (pass == 0 || per_call < best) best = per_call;
-        break;
-      }
-      reps *= 4;
-    }
+  std::size_t reps = 1;
+  while (seconds_per_call(reps, fn) * static_cast<double>(reps) < min_time_s &&
+         reps <= (1u << 24)) {
+    reps *= 4;
   }
-  return best;
+  return reps;
+}
+
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
 }
 
 struct AbRow {
@@ -150,29 +154,44 @@ AbRow measure_ab(const std::string& name, const models::EnergyModel& model,
   const std::span<const models::MigrationObservation* const> view(ptrs);
   const models::FeatureBatch prebuilt(view);
   std::vector<double> out(batch_size);
-  const double min_time = 0.02;
-
-  const double scalar_s = time_per_call(min_time, [&] {
+  const auto scalar = [&] {
     double acc = 0.0;
     for (const models::MigrationObservation* obs : ptrs) acc += model.predict_energy(*obs);
     benchmark::DoNotOptimize(acc);
-  });
-  const double built_s = time_per_call(min_time, [&] {
+  };
+  const auto built = [&] {
     const models::FeatureBatch batch(view);
     model.predict_batch(batch, out);
     benchmark::DoNotOptimize(out.data());
-  });
-  const double eval_s = time_per_call(min_time, [&] {
+  };
+  const auto eval = [&] {
     model.predict_batch(prebuilt, out);
     benchmark::DoNotOptimize(out.data());
-  });
+  };
+  const double min_time = 0.01;
+  const std::size_t scalar_reps = reps_for(min_time, scalar);
+  const std::size_t built_reps = reps_for(min_time, built);
+  const std::size_t eval_reps = reps_for(min_time, eval);
+
+  // Interleaved rounds (scalar, built, eval, scalar, ...): host drift
+  // hits the three sides of a round alike, and the medians drop a
+  // round that a scheduler hiccup spoiled.
+  constexpr int kRounds = 7;
+  std::vector<double> scalar_s, built_s, eval_s, built_x, eval_x;
+  for (int round = 0; round < kRounds; ++round) {
+    scalar_s.push_back(seconds_per_call(scalar_reps, scalar));
+    built_s.push_back(seconds_per_call(built_reps, built));
+    eval_s.push_back(seconds_per_call(eval_reps, eval));
+    built_x.push_back(scalar_s.back() / std::max(1e-12, built_s.back()));
+    eval_x.push_back(scalar_s.back() / std::max(1e-12, eval_s.back()));
+  }
 
   const double n = static_cast<double>(batch_size);
-  row.scalar_per_item_ns = scalar_s / n * 1e9;
-  row.batch_built_per_item_ns = built_s / n * 1e9;
-  row.batch_eval_per_item_ns = eval_s / n * 1e9;
-  row.speedup_built = scalar_s / std::max(1e-12, built_s);
-  row.speedup_eval = scalar_s / std::max(1e-12, eval_s);
+  row.scalar_per_item_ns = median(scalar_s) / n * 1e9;
+  row.batch_built_per_item_ns = median(built_s) / n * 1e9;
+  row.batch_eval_per_item_ns = median(eval_s) / n * 1e9;
+  row.speedup_built = median(built_x);
+  row.speedup_eval = median(eval_x);
   return row;
 }
 

@@ -9,6 +9,8 @@
 //
 // Build & run:  ./build/examples/consolidation_advisor
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "cloud/instances.hpp"
 #include "core/planner.hpp"
@@ -16,6 +18,7 @@
 #include "exp/campaign.hpp"
 #include "plan/planner.hpp"
 #include "plan/strategy.hpp"
+#include "util/strings.hpp"
 #include "util/units.hpp"
 
 using namespace wavm3;
@@ -30,11 +33,13 @@ cloud::HostSpec host32(const std::string& name) {
   return h;
 }
 
-/// Plans one what-if wave over a snapshot of `dc` and prints each
-/// donor's vacate ledger with its moves.
-void report_plans(const char* label, const cloud::DataCenter& dc,
-                  const core::Wavm3Model& model, const plan::PlannerConfig& config) {
-  std::printf("%s\n", label);
+/// Plans one what-if wave over a snapshot of `dc`, prints each donor's
+/// vacate ledger with its moves, and returns the ledger.
+std::vector<plan::DonorLedger> report_plans(const std::string& label,
+                                            const cloud::DataCenter& dc,
+                                            const core::Wavm3Model& model,
+                                            const plan::PlannerConfig& config) {
+  std::printf("%s\n", label.c_str());
   plan::Fleet fleet = plan::Fleet::from_datacenter(dc, 0.0);
   plan::MigrationPlanner planner(model, config);
   const plan::WavePlan wave =
@@ -42,7 +47,7 @@ void report_plans(const char* label, const cloud::DataCenter& dc,
   const std::vector<plan::DonorLedger> ledger = plan::donor_ledger(wave, config);
   if (ledger.empty()) {
     std::puts("  (no underutilised host worth vacating)");
-    return;
+    return ledger;
   }
   for (const plan::DonorLedger& d : ledger) {
     std::printf("  vacate %-6s: %zu migration(s), cost %.1f kJ, saving %.1f kJ -> net %+.1f kJ %s\n",
@@ -55,6 +60,7 @@ void report_plans(const char* label, const cloud::DataCenter& dc,
                   m.end_s - m.start_s, m.downtime_s, m.energy_j / 1e3);
     }
   }
+  return ledger;
 }
 
 }  // namespace
@@ -85,10 +91,21 @@ int main() {
     for (int i = 0; i < 3; ++i) b.add_vm(cloud::make_load_cpu_vm("db" + std::to_string(i)));
 
     config.policy.horizon_seconds = 3600.0;  // one hour
-    report_plans("\nScene 1a: CPU-bound guests, 1 h horizon:", dc, model, config);
+    const std::vector<plan::DonorLedger> ledger =
+        report_plans("\nScene 1a: CPU-bound guests, 1 h horizon:", dc, model, config);
 
-    config.policy.horizon_seconds = 60.0;  // about to redeploy everything anyway
-    report_plans("\nScene 1b: same, but only a 60 s horizon:", dc, model, config);
+    // About to redeploy everything anyway: hostA would stay off only
+    // half as long as its idle draw takes to repay emptying it. The
+    // moves cost the same at any horizon, so the verdict flips.
+    if (!ledger.empty()) {
+      const double break_even_s =
+          ledger.front().migration_energy_j / config.host_power.power(0.0);
+      config.policy.horizon_seconds = 0.5 * break_even_s;
+      report_plans(util::format("\nScene 1b: same, but only a %.1f s horizon (half the %.1f s "
+                                "break-even):",
+                                config.policy.horizon_seconds, break_even_s),
+                   dc, model, config);
+    }
   }
 
   // --- Scene 2: the SVIII warning — a memory-hot VM and busy targets. ---

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <limits>
 #include <map>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -11,6 +12,7 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "plan/strategy.hpp"
 #include "util/error.hpp"
 
 namespace wavm3::plan {
@@ -223,152 +225,187 @@ WavePlan MigrationPlanner::plan_wave(Fleet& fleet, const PlacementStrategy& stra
     donors.resize(static_cast<std::size_t>(config_.max_donors_per_wave));
   }
   plan.donors_considered = static_cast<int>(donors.size());
-  const std::unordered_set<int> donor_set(donors.begin(), donors.end());
 
-  // Receiver orderings: natural (host-index) order for first-fit
-  // semantics, per-group lists for rack-local targets, and a
-  // most-loaded ordering for tight packing.
-  std::vector<int> receivers;
-  std::unordered_map<std::string, std::vector<int>> receivers_by_group;
-  for (std::size_t h = 0; h < fleet.host_count(); ++h) {
-    const int hi = static_cast<int>(h);
-    if (!fleet.host(hi).powered_on || donor_set.count(hi) != 0) continue;
-    receivers.push_back(hi);
-    receivers_by_group[fleet.host(hi).spec.group].push_back(hi);
-  }
-  std::vector<int> receivers_by_load = receivers;
-  std::sort(receivers_by_load.begin(), receivers_by_load.end(), [&](int a, int b) {
-    const double ua = fleet.host_utilisation(a);
-    const double ub = fleet.host_utilisation(b);
-    return ua != ub ? ua > ub : a < b;
-  });
+  CandidateSet candidates;
+  {
+    WAVM3_OBS_SPAN(candidates_span, "plan", "candidates");
+    const auto receiver_ok = [&](int h, const FleetVm& vm) {
+      if (!fleet.fits(h, vm)) return false;
+      const FleetHost& host = fleet.host(h);
+      const double capacity = static_cast<double>(host.spec.vcpus);
+      return host.cpu_load + vm.cpu_now <= config_.policy.overload_fraction * capacity;
+    };
 
-  // Workload cycles of the donor VMs' dirtying histories.
-  std::unordered_map<int, CycleEstimate> cycles;
-  if (config_.cycle_aware) {
-    WAVM3_OBS_SPAN(cycle_span, "plan", "cycle_detect");
-    const CycleDetector detector(config_.cycles);
-    std::size_t analyzed = 0;
+    // The smallest CPU and RAM demand of any donor VM: a receiver that
+    // cannot take even that takes no donor VM (both checks add a
+    // demand to a load, and FP addition is monotonic).
+    std::vector<char> is_donor(fleet.host_count(), 0);
+    FleetVm smallest;
+    smallest.cpu_now = std::numeric_limits<double>::infinity();
+    smallest.ram_bytes = std::numeric_limits<double>::infinity();
     for (const int h : donors) {
+      is_donor[static_cast<std::size_t>(h)] = 1;
       for (const int v : fleet.host(h).vms) {
-        const VmHistory& hist = fleet.vm(v).history;
-        if (hist.empty()) continue;
-        ++analyzed;
-        CycleEstimate estimate = detector.analyze(hist.t, hist.dirty);
-        if (estimate.periodic) cycles.emplace(v, estimate);
+        smallest.cpu_now = std::min(smallest.cpu_now, fleet.vm(v).cpu_now);
+        smallest.ram_bytes = std::min(smallest.ram_bytes, fleet.vm(v).ram_bytes);
       }
     }
-    cycle_span.arg("traces", static_cast<double>(analyzed));
-    cycle_span.arg("periodic", static_cast<double>(cycles.size()));
-  }
 
-  // Candidate generation: per donor VM, up to candidate_targets
-  // destinations drawn from the three orderings (deduplicated), each
-  // expanded into a blind — and for periodic VMs an aligned — scenario.
-  CandidateSet candidates;
-  const auto receiver_ok = [&](int h, const FleetVm& vm) {
-    if (!fleet.fits(h, vm)) return false;
-    const FleetHost& host = fleet.host(h);
-    const double capacity = static_cast<double>(host.spec.vcpus);
-    return host.cpu_load + vm.cpu_now <= config_.policy.overload_fraction * capacity;
-  };
+    // Selection only adds donor VMs' demands to receivers' loads; while
+    // those are non-negative, a donor that cannot be placed at the
+    // wave's starting loads cannot be placed later in the wave either.
+    const bool loads_only_grow = smallest.cpu_now >= 0.0 && smallest.ram_bytes >= 0.0;
 
-  const int k_total = config_.candidate_targets;
-  const int k_ff = std::max(1, k_total / 3);
-  const int k_group = std::max(1, k_total / 3);
-
-  for (const int donor_host : donors) {
-    DonorCandidates donor;
-    donor.host = donor_host;
-    std::vector<int> donor_vms(fleet.host(donor_host).vms);
-    // First-fit-decreasing order: big RAM first.
-    std::sort(donor_vms.begin(), donor_vms.end(), [&](int a, int b) {
-      const double ra = fleet.vm(a).ram_bytes;
-      const double rb = fleet.vm(b).ram_bytes;
-      return ra != rb ? ra > rb : a < b;
+    // Receiver orderings: natural (host-index) order for first-fit
+    // semantics, per-group lists for rack-local targets, and a
+    // most-loaded ordering for tight packing.
+    std::vector<int> receivers;
+    std::unordered_map<std::string, std::size_t> group_index;
+    std::vector<std::vector<int>> receivers_by_group;
+    for (std::size_t h = 0; h < fleet.host_count(); ++h) {
+      const int hi = static_cast<int>(h);
+      if (!fleet.host(hi).powered_on || is_donor[h] != 0 || !receiver_ok(hi, smallest)) continue;
+      receivers.push_back(hi);
+      const auto [it, added] =
+          group_index.try_emplace(fleet.host(hi).spec.group, receivers_by_group.size());
+      if (added) receivers_by_group.emplace_back();
+      receivers_by_group[it->second].push_back(hi);
+    }
+    std::vector<int> receivers_by_load = receivers;
+    std::sort(receivers_by_load.begin(), receivers_by_load.end(), [&](int a, int b) {
+      const double ua = fleet.host_utilisation(a);
+      const double ub = fleet.host_utilisation(b);
+      return ua != ub ? ua > ub : a < b;
     });
 
-    for (const int v : donor_vms) {
-      const FleetVm& vm = fleet.vm(v);
-      std::vector<int> targets;
-      std::unordered_set<int> seen;
-      const auto take = [&](const std::vector<int>& order, int limit) {
-        int taken = 0;
-        for (const int h : order) {
-          if (taken >= limit || static_cast<int>(targets.size()) >= k_total) break;
-          if (h == donor_host || seen.count(h) != 0 || !receiver_ok(h, vm)) continue;
-          seen.insert(h);
-          targets.push_back(h);
-          ++taken;
-        }
-      };
-      take(receivers, k_ff);
-      const auto group_it = receivers_by_group.find(fleet.host(donor_host).spec.group);
-      if (group_it != receivers_by_group.end()) take(group_it->second, k_group);
-      take(receivers_by_load, k_total - static_cast<int>(targets.size()));
+    // Per donor VM, up to candidate_targets destinations drawn from the
+    // three orderings, deduplicated by stamping each taken host with
+    // the VM's epoch.
+    const int k_total = config_.candidate_targets;
+    const int k_ff = std::max(1, k_total / 3);
+    const int k_group = std::max(1, k_total / 3);
+    std::vector<std::size_t> taken_epoch(fleet.host_count(), 0);
+    std::size_t epoch = 0;
+    const std::vector<int> no_group;
+    DonorPlacement placement(fleet, config_, candidates.moves);
 
-      VmCandidates vc;
-      vc.vm = v;
-      vc.begin = static_cast<int>(candidates.moves.size());
-      const auto cycle_it = cycles.find(v);
-      for (const int target : targets) {
-        ScoredMove move;
-        move.vm = v;
-        move.source = donor_host;
-        move.target = target;
-        move.blind.scenario = move_scenario(fleet, config_, v, donor_host, target);
+    for (const int donor_host : donors) {
+      const auto group_it = group_index.find(fleet.host(donor_host).spec.group);
+      const std::vector<int>& group =
+          group_it == group_index.end() ? no_group : receivers_by_group[group_it->second];
+      DonorCandidates donor;
+      donor.host = donor_host;
+      std::vector<int> donor_vms(fleet.host(donor_host).vms);
+      // First-fit-decreasing order: big RAM first.
+      std::sort(donor_vms.begin(), donor_vms.end(), [&](int a, int b) {
+        const double ra = fleet.vm(a).ram_bytes;
+        const double rb = fleet.vm(b).ram_bytes;
+        return ra != rb ? ra > rb : a < b;
+      });
 
-        if (cycle_it != cycles.end()) {
-          move.has_aligned = true;
-          move.cycle = cycle_it->second;
-          // Same move priced at the low-window dirtying rate; the CPU
-          // signature is kept (conservative — only the dirtying
-          // benefit of the window is claimed).
-          move.aligned.scenario = move.blind.scenario;
-          move.aligned.scenario.vm_dirty_pages_per_s = move.cycle.low_mean;
+      const std::size_t donor_begin = candidates.moves.size();
+      placement.clear();
+      for (const int v : donor_vms) {
+        const FleetVm& vm = fleet.vm(v);
+        ++epoch;
+        VmCandidates vc;
+        vc.vm = v;
+        vc.begin = static_cast<int>(candidates.moves.size());
+        const auto take = [&](const std::vector<int>& order, int limit) {
+          int taken = 0;
+          for (const int h : order) {
+            const int total = static_cast<int>(candidates.moves.size()) - vc.begin;
+            if (taken >= limit || total >= k_total) break;
+            std::size_t& stamp = taken_epoch[static_cast<std::size_t>(h)];
+            if (stamp == epoch || !receiver_ok(h, vm)) continue;
+            stamp = epoch;
+            candidates.moves.push_back(ScoredMove{v, donor_host, h, {}});
+            ++taken;
+          }
+        };
+        take(receivers, k_ff);
+        take(group, k_group);
+        take(receivers_by_load,
+             k_total - (static_cast<int>(candidates.moves.size()) - vc.begin));
+        vc.end = static_cast<int>(candidates.moves.size());
+        // All-or-nothing donors: once the donor's VMs so far cannot all
+        // be placed at once (plainly: this VM has no target), the donor
+        // sinks and none of its candidates is priced.
+        const bool placeable = loads_only_grow ? placement.add(vc) : vc.end > vc.begin;
+        if (!placeable) {
+          candidates.moves.resize(donor_begin);
+          break;
         }
-        candidates.moves.push_back(std::move(move));
+        donor.vms.push_back(vc);
       }
-      vc.end = static_cast<int>(candidates.moves.size());
-      if (vc.end > vc.begin) donor.vms.push_back(vc);
+      if (donor.vms.size() == donor_vms.size()) candidates.donors.push_back(std::move(donor));
     }
-
-    // All-or-nothing donors: a VM with no candidates sinks the donor.
-    if (donor.vms.size() == fleet.host(donor_host).vms.size()) {
-      candidates.donors.push_back(std::move(donor));
-    }
+    candidates_span.arg("donors", static_cast<double>(candidates.donors.size()));
   }
   plan.candidates_scored = candidates.moves.size();
 
-  // Price every variant: one scalar forecast per scenario. The span
-  // keeps its historical name, which perfbench's plan_waves reads.
+  // One scalar forecast per priced scenario.
+  std::size_t scenarios = 0;
+  const auto price = [&](const core::MigrationScenario& scenario) {
+    const core::MigrationForecast forecast = forecaster_.forecast(scenario);
+    ++scenarios;
+    return MoveVariant{forecast.total_energy(), forecast.times.me, forecast.downtime};
+  };
+
+  // Price every candidate cycle-blind. The span keeps its historical
+  // name, which perfbench's plan_waves reads.
   {
     WAVM3_OBS_SPAN(score_span, "plan", "score_batch");
     const auto score_start = std::chrono::steady_clock::now();
-    std::size_t scenarios = 0;
-    const auto price = [&](MoveVariant& variant) {
-      variant.forecast = forecaster_.forecast(variant.scenario);
-      variant.energy_j = variant.forecast.total_energy();
-      ++scenarios;
-    };
     for (ScoredMove& move : candidates.moves) {
-      price(move.blind);
-      if (move.has_aligned) price(move.aligned);
+      move.blind = price(move_scenario(fleet, config_, move.vm, move.source, move.target));
     }
-    plan.batch_rows = 2 * scenarios;
     plan.scoring_seconds = seconds_since(score_start);
     score_span.arg("scenarios", static_cast<double>(scenarios));
   }
   metrics.candidates.inc(plan.candidates_scored);
-  metrics.score_seconds.observe(plan.scoring_seconds);
 
-  // Target selection.
+  // Target selection, on the blind prices.
   std::vector<int> chosen;
   {
     WAVM3_OBS_SPAN(strategy_span, "plan", "strategy");
     chosen = strategy.choose(fleet, candidates, config_);
     strategy_span.arg("chosen", static_cast<double>(chosen.size()));
   }
+
+  // Workload cycles of the chosen moves' VMs, and for the periodic
+  // ones the same move priced at the low-window dirtying rate. The CPU
+  // signature is kept (conservative: only the dirtying benefit of the
+  // window is claimed).
+  std::vector<CycleEstimate> cycles(chosen.size());
+  std::vector<MoveVariant> aligned_variants(chosen.size());
+  if (config_.cycle_aware) {
+    WAVM3_OBS_SPAN(cycle_span, "plan", "cycle_detect");
+    const CycleDetector detector(config_.cycles);
+    std::size_t periodic = 0;
+    for (std::size_t i = 0; i < chosen.size(); ++i) {
+      const int vm = candidates.moves[static_cast<std::size_t>(chosen[i])].vm;
+      const VmHistory& hist = fleet.vm(vm).history;
+      if (hist.empty()) continue;
+      ++plan.histories_analyzed;
+      cycles[i] = detector.analyze(hist.t, hist.dirty);
+      if (cycles[i].periodic) ++periodic;
+    }
+    const auto align_start = std::chrono::steady_clock::now();
+    for (std::size_t i = 0; i < chosen.size(); ++i) {
+      if (!cycles[i].periodic) continue;
+      const ScoredMove& move = candidates.moves[static_cast<std::size_t>(chosen[i])];
+      core::MigrationScenario scenario =
+          move_scenario(fleet, config_, move.vm, move.source, move.target);
+      scenario.vm_dirty_pages_per_s = cycles[i].low_mean;
+      aligned_variants[i] = price(scenario);
+    }
+    plan.scoring_seconds += seconds_since(align_start);
+    cycle_span.arg("traces", static_cast<double>(plan.histories_analyzed));
+    cycle_span.arg("periodic", static_cast<double>(periodic));
+  }
+  plan.batch_rows = 2 * scenarios;
+  metrics.score_seconds.observe(plan.scoring_seconds);
 
   // Scheduling under per-host concurrency caps. Periodic VMs snap into
   // the next low-dirtying window inside the horizon when the aligned
@@ -377,17 +414,18 @@ WavePlan MigrationPlanner::plan_wave(Fleet& fleet, const PlacementStrategy& stra
   {
     WAVM3_OBS_SPAN(schedule_span, "plan", "schedule");
     BusyIntervals busy;
-    for (const int m : chosen) {
-      const ScoredMove& move = candidates.moves[static_cast<std::size_t>(m)];
+    for (std::size_t i = 0; i < chosen.size(); ++i) {
+      const ScoredMove& move = candidates.moves[static_cast<std::size_t>(chosen[i])];
+      const CycleEstimate& cycle = cycles[i];
       bool aligned = false;
       double start = 0.0;
-      if (move.has_aligned && move.aligned.energy_j <= move.blind.energy_j) {
-        const double duration = move.aligned.forecast.times.me;
-        for (double w = CycleDetector::next_low_window_start(move.cycle, now);
-             w <= now + config_.wave_horizon_s; w += move.cycle.period_s) {
+      if (cycle.periodic && aligned_variants[i].energy_j <= move.blind.energy_j) {
+        const double duration = aligned_variants[i].duration_s;
+        for (double w = CycleDetector::next_low_window_start(cycle, now);
+             w <= now + config_.wave_horizon_s; w += cycle.period_s) {
           const double t =
               earliest_feasible_start(fleet, busy, move.source, move.target, duration, w);
-          if (t <= w + move.cycle.low_duration_s) {
+          if (t <= w + cycle.low_duration_s) {
             start = t;
             aligned = true;
             break;
@@ -396,22 +434,21 @@ WavePlan MigrationPlanner::plan_wave(Fleet& fleet, const PlacementStrategy& stra
       }
       if (!aligned) {
         start = earliest_feasible_start(fleet, busy, move.source, move.target,
-                                        move.blind.forecast.times.me, now);
+                                        move.blind.duration_s, now);
       }
-      const MoveVariant& variant = aligned ? move.aligned : move.blind;
-      const double duration = variant.forecast.times.me;
-      busy.add(move.source, start, start + duration);
-      busy.add(move.target, start, start + duration);
+      const MoveVariant& variant = aligned ? aligned_variants[i] : move.blind;
+      busy.add(move.source, start, start + variant.duration_s);
+      busy.add(move.target, start, start + variant.duration_s);
 
       ScheduledMove scheduled;
       scheduled.vm = move.vm;
       scheduled.source = move.source;
       scheduled.target = move.target;
       scheduled.start_s = start;
-      scheduled.end_s = start + duration;
+      scheduled.end_s = start + variant.duration_s;
       scheduled.cycle_aligned = aligned;
       scheduled.energy_j = variant.energy_j;
-      scheduled.downtime_s = variant.forecast.downtime;
+      scheduled.downtime_s = variant.downtime_s;
       plan.moves.push_back(scheduled);
 
       plan.total_migration_energy_j += scheduled.energy_j;

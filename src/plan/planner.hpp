@@ -3,21 +3,26 @@
 // core::MigrationPlanner::forecast call and scheduled into
 // workload-cycle low-dirtying windows (plan/cycle_detector.hpp).
 //
-// One wave:
+// One wave computes only what the strategy and the scheduler read:
 //   1. refresh loads; pick donor hosts (underloaded, to be vacated)
 //      and receivers;
-//   2. detect workload cycles on every donor VM's dirtying history;
-//   3. generate (VM, source, target) candidates and price them — each
-//      in a cycle-blind variant (trailing-window dirtying) and, for
-//      periodic VMs, a cycle-aligned variant (low-window dirtying) —
+//   2. generate (VM, source, target) candidates donor by donor; a
+//      donor is dropped at the first VM at which its VMs so far cannot
+//      all be placed at once (plan::DonorPlacement; plainly, a VM with
+//      no feasible target), since no strategy could vacate it
+//      (all-or-nothing: a partial vacate saves no host energy);
+//   3. price every candidate cycle-blind (trailing-window dirtying)
 //      through core::MigrationPlanner::forecast, the paper's per-phase
 //      power x duration sums (Eqs. 3-7);
 //   4. a PlacementStrategy picks targets (naive first-fit, or
-//      energy-aware beam search) donor by donor, all-or-nothing per
-//      donor (partial vacates save no host energy);
-//   5. moves are scheduled under per-host concurrency caps, snapping
-//      periodic VMs' start times into their next low-dirtying window;
-//   6. the wave is committed to the fleet (placements move, vacated
+//      energy-aware beam search) donor by donor on the blind prices;
+//   5. cycles are detected on the chosen moves' VMs only, and each
+//      periodic one is priced once more at its low-window dirtying
+//      rate (the cycle-aligned variant);
+//   6. moves are scheduled under per-host concurrency caps, snapping
+//      periodic VMs' start times into their next low-dirtying window
+//      when the aligned variant is no dearer;
+//   7. the wave is committed to the fleet (placements move, vacated
 //      donors power off).
 //
 // Every phase runs under an obs:: span (category "plan") and feeds
@@ -91,30 +96,28 @@ struct PlannerConfig {
   int beam_width = 8;
 };
 
-/// One priced placement variant of a candidate move.
+/// The priced outcome of one move scenario.
 struct MoveVariant {
-  core::MigrationScenario scenario;
-  core::MigrationForecast forecast;  ///< core::MigrationPlanner::forecast of `scenario`
-  double energy_j = 0.0;             ///< source + target
+  double energy_j = 0.0;    ///< source + target forecast energy
+  double duration_s = 0.0;  ///< migration time (MigrationTimings::me)
+  double downtime_s = 0.0;
 };
 
-/// One (VM, source, target) candidate with its priced variants.
+/// One (VM, source, target) candidate with its cycle-blind price.
 struct ScoredMove {
   int vm = -1;
   int source = -1;
   int target = -1;
-  MoveVariant blind;        ///< trailing-window dirtying rate
-  bool has_aligned = false;
-  MoveVariant aligned;      ///< low-cycle-window dirtying rate
-  CycleEstimate cycle;      ///< the VM's detected cycle (when has_aligned)
+  MoveVariant blind;  ///< move_scenario priced at the trailing-window dirtying rate
 
   /// The energy strategies optimise. Deliberately the *blind* price:
   /// selection is then identical whether cycle scheduling is on or
   /// off, so the cycle-aware-vs-blind comparison isolates the
-  /// scheduling effect — the scheduler only ever swaps a committed
-  /// move to its aligned variant when that variant is cheaper, which
-  /// makes "cycle-aware <= cycle-blind predicted energy" a per-move
-  /// invariant rather than a statistical tendency.
+  /// scheduling effect — the scheduler only ever swaps a chosen move
+  /// to its aligned variant when that variant is cheaper, which makes
+  /// "cycle-aware <= cycle-blind predicted energy" a per-move
+  /// invariant rather than a statistical tendency. It is also why the
+  /// aligned variant is priced for chosen moves only.
   double selection_energy() const { return blind.energy_j; }
 };
 
@@ -175,8 +178,9 @@ struct WavePlan {
   int overloaded_hosts_before = 0;        ///< hosts above the overload fraction
   int overloaded_hosts_after = 0;
   std::size_t candidates_scored = 0;      ///< (VM, target) pairs priced
+  std::size_t histories_analyzed = 0;     ///< VM histories run through cycle detection
   std::size_t batch_rows = 0;             ///< role energies priced, two per scenario
-  double scoring_seconds = 0.0;           ///< wall time pricing the candidates
+  double scoring_seconds = 0.0;           ///< wall time pricing blind and aligned variants
   double wave_seconds = 0.0;              ///< wall time of the whole wave
 };
 

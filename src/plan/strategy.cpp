@@ -36,10 +36,12 @@ struct TentativeLoads {
   }
 };
 
+/// Whether `vm` fits on `target` whose load stands at (base_cpu,
+/// base_ram) plus the target's entry in `delta`.
 bool target_feasible(const Fleet& fleet, const PlannerConfig& config, const FleetVm& vm,
-                     int target, const TentativeLoads& base, const Delta& delta) {
-  double cpu = base.cpu[static_cast<std::size_t>(target)];
-  double ram = base.ram[static_cast<std::size_t>(target)];
+                     int target, double base_cpu, double base_ram, const Delta& delta) {
+  double cpu = base_cpu;
+  double ram = base_ram;
   if (const auto it = delta.find(target); it != delta.end()) {
     cpu += it->second.first;
     ram += it->second.second;
@@ -55,6 +57,9 @@ void add_to_delta(Delta& delta, int target, const FleetVm& vm) {
   slot.first += vm.cpu_now;
   slot.second += vm.ram_bytes;
 }
+
+/// VM placements one DonorPlacement search may try.
+constexpr int kPlacementSteps = 64;
 
 /// One donor under naive first-fit: each VM goes to the feasible
 /// candidate on the lowest-indexed host. Returns the picked move
@@ -72,7 +77,10 @@ std::vector<int> assign_first_fit(const Fleet& fleet, const CandidateSet& candid
     for (int m = vc.begin; m < vc.end; ++m) {
       const ScoredMove& move = candidates.moves[static_cast<std::size_t>(m)];
       if (move.target >= best_target) continue;
-      if (!target_feasible(fleet, config, vm, move.target, base, delta)) continue;
+      const auto t = static_cast<std::size_t>(move.target);
+      if (!target_feasible(fleet, config, vm, move.target, base.cpu[t], base.ram[t], delta)) {
+        continue;
+      }
       best_move = m;
       best_target = move.target;
     }
@@ -110,7 +118,11 @@ std::vector<int> assign_beam(const Fleet& fleet, const CandidateSet& candidates,
     for (const BeamState& state : beam) {
       for (int m = vc.begin; m < vc.end; ++m) {
         const ScoredMove& move = candidates.moves[static_cast<std::size_t>(m)];
-        if (!target_feasible(fleet, config, vm, move.target, base, state.delta)) continue;
+        const auto t = static_cast<std::size_t>(move.target);
+        if (!target_feasible(fleet, config, vm, move.target, base.cpu[t], base.ram[t],
+                             state.delta)) {
+          continue;
+        }
         BeamState expanded = state;
         expanded.picks.push_back(m);
         add_to_delta(expanded.delta, move.target, vm);
@@ -164,6 +176,57 @@ std::vector<int> choose_by_donor(const Fleet& fleet, const CandidateSet& candida
 }
 
 }  // namespace
+
+DonorPlacement::DonorPlacement(const Fleet& fleet, const PlannerConfig& config,
+                               const std::vector<ScoredMove>& moves)
+    : fleet_(fleet), config_(config), moves_(moves) {}
+
+void DonorPlacement::clear() {
+  vms_.clear();
+  witness_.clear();
+  unproven_ = false;
+}
+
+bool DonorPlacement::add(const VmCandidates& vc) {
+  if (vc.begin == vc.end) return false;
+  vms_.push_back(vc);
+  if (unproven_) return true;
+  // Extend the placement found so far; failing that, search every
+  // placement of the VMs so far afresh.
+  int steps = 0;
+  if (search(vms_.size() - 1, steps)) return true;
+  witness_.clear();
+  steps = 0;
+  const bool placed = search(0, steps);
+  unproven_ = steps > kPlacementSteps;
+  return placed;
+}
+
+bool DonorPlacement::search(std::size_t i, int& steps) {
+  if (i == vms_.size()) return true;
+  const VmCandidates& vc = vms_[i];
+  const FleetVm& vm = fleet_.vm(vc.vm);
+  for (int m = vc.begin; m < vc.end; ++m) {
+    const int target = moves_[static_cast<std::size_t>(m)].target;
+    const FleetHost& host = fleet_.host(target);
+    if (!target_feasible(fleet_, config_, vm, target, host.cpu_load, host.ram_committed,
+                         witness_)) {
+      continue;
+    }
+    if (++steps > kPlacementSteps) return true;
+    const auto it = witness_.find(target);
+    const bool added = it == witness_.end();
+    const std::pair<double, double> before = added ? std::pair{0.0, 0.0} : it->second;
+    add_to_delta(witness_, target, vm);
+    if (search(i + 1, steps)) return true;
+    if (added) {
+      witness_.erase(target);
+    } else {
+      witness_[target] = before;
+    }
+  }
+  return false;
+}
 
 std::vector<int> FirstFitStrategy::choose(const Fleet& fleet, const CandidateSet& candidates,
                                           const PlannerConfig& config) const {

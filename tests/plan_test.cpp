@@ -2,7 +2,10 @@
 // through core::MigrationPlanner::forecast, wave planning with the
 // bundled placement strategies, and the per-donor vacate decision of
 // the paper's SVIII use case (donor_ledger over a data-centre snapshot).
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <sstream>
 #include <vector>
@@ -499,6 +502,201 @@ TEST(MigrationPlanner, WavesRollForward) {
     now += 1800.0;
   }
   EXPECT_LT(prev, 24);
+}
+
+// ------------------------------------------------ golden wave parity
+//
+// Bit-exact outputs of three committed waves on a 128-host / 1280-VM
+// synthetic fleet, for both strategies with cycle scheduling on and
+// off. The values were recorded from the planner that analysed every
+// donor VM's cycle and priced every candidate's aligned variant before
+// selection; the wave now analyses and prices only what the strategy
+// and the scheduler read, and must schedule exactly the same moves.
+
+/// One committed wave's totals and an FNV-1a digest over the bit
+/// patterns of every ScheduledMove field, in schedule order.
+struct WaveGolden {
+  std::size_t moves = 0;
+  int moves_cycle_aligned = 0;
+  int donors_considered = 0;
+  int donors_vacated = 0;
+  int overloaded_hosts_before = 0;
+  int overloaded_hosts_after = 0;
+  double total_migration_energy_j = 0.0;
+  double total_downtime_s = 0.0;
+  double steady_saving_j = 0.0;
+  std::uint64_t move_digest = 0;
+};
+
+std::uint64_t move_digest(const std::vector<ScheduledMove>& moves) {
+  std::uint64_t h = 14695981039346656037ull;
+  const auto mix = [&](std::uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (word >> (8 * byte)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  };
+  for (const ScheduledMove& m : moves) {
+    mix(static_cast<std::uint64_t>(m.vm));
+    mix(static_cast<std::uint64_t>(m.source));
+    mix(static_cast<std::uint64_t>(m.target));
+    mix(std::bit_cast<std::uint64_t>(m.start_s));
+    mix(std::bit_cast<std::uint64_t>(m.end_s));
+    mix(m.cycle_aligned ? 1u : 0u);
+    mix(std::bit_cast<std::uint64_t>(m.energy_j));
+    mix(std::bit_cast<std::uint64_t>(m.downtime_s));
+  }
+  return h;
+}
+
+void expect_golden_waves(const PlacementStrategy& strategy, bool cycle_aware,
+                         const std::vector<WaveGolden>& golden) {
+  const core::Wavm3Model model = make_model();
+  PlannerConfig config = test_config();
+  config.cycle_aware = cycle_aware;
+  MigrationPlanner planner(model, config);
+  Fleet fleet = Fleet::synthetic(128, 1280, 2015);
+  for (std::size_t w = 0; w < golden.size(); ++w) {
+    SCOPED_TRACE(::testing::Message() << strategy.name() << (cycle_aware ? " aware" : " blind")
+                                    << " wave " << w);
+    const double now = SyntheticFleetOptions{}.history_s + 7200.0 * static_cast<double>(w);
+    const WavePlan p = planner.plan_wave(fleet, strategy, now);
+    const WaveGolden& g = golden[w];
+    EXPECT_EQ(p.moves.size(), g.moves);
+    EXPECT_EQ(p.moves_cycle_aligned, g.moves_cycle_aligned);
+    EXPECT_EQ(p.donors_considered, g.donors_considered);
+    EXPECT_EQ(p.donors_vacated, g.donors_vacated);
+    EXPECT_EQ(p.overloaded_hosts_before, g.overloaded_hosts_before);
+    EXPECT_EQ(p.overloaded_hosts_after, g.overloaded_hosts_after);
+    EXPECT_EQ(p.total_migration_energy_j, g.total_migration_energy_j);
+    EXPECT_EQ(p.total_downtime_s, g.total_downtime_s);
+    EXPECT_EQ(p.steady_saving_j, g.steady_saving_j);
+    EXPECT_EQ(move_digest(p.moves), g.move_digest);
+    // Cycle analysis runs on the chosen moves' VMs only.
+    EXPECT_LE(p.histories_analyzed, p.moves.size());
+  }
+}
+
+TEST(GoldenWaves, FirstFitCycleBlind) {
+  expect_golden_waves(FirstFitStrategy{}, false, {
+      {110, 0, 57, 11, 0, 0, 0x1.7b755d2ab91d2p+20, 0x1.34288a6100a52p+7, 0x1.03d3ap+24, 0x3b97bddd5f77e648ull},
+      {35, 0, 58, 3, 0, 0, 0x1.a11c7a2d0b194p+18, 0x1.88000027fad0cp+5, 0x1.1b728p+22, 0xa3814975403b9199ull},
+      {26, 0, 57, 2, 0, 0, 0x1.28ad37b33a67cp+18, 0x1.23333350e634bp+5, 0x1.79eep+21, 0x686e333aa134ed2full},
+  });
+}
+
+TEST(GoldenWaves, FirstFitCycleAware) {
+  expect_golden_waves(FirstFitStrategy{}, true, {
+      {110, 71, 57, 11, 0, 0, 0x1.71ee9b868d8bap+20, 0x1.341dcbd2848d5p+7, 0x1.03d3ap+24, 0xd2ee61e2de432e5eull},
+      {35, 0, 58, 3, 0, 0, 0x1.a11c7a2d0b194p+18, 0x1.88000027fad0cp+5, 0x1.1b728p+22, 0xa3814975403b9199ull},
+      {26, 0, 57, 2, 0, 0, 0x1.28ad37b33a67cp+18, 0x1.23333350e634bp+5, 0x1.79eep+21, 0x686e333aa134ed2full},
+  });
+}
+
+TEST(GoldenWaves, BeamCycleBlind) {
+  expect_golden_waves(BeamSearchStrategy{}, false, {
+      {120, 0, 57, 12, 0, 0, 0x1.9f4ccdb72f8d3p+20, 0x1.502a7e3d3ede8p+7, 0x1.1b728p+24, 0xd51bec467b063d6full},
+      {48, 0, 58, 4, 0, 0, 0x1.15e15068c9034p+19, 0x1.0ccccce836f5ap+6, 0x1.79eep+22, 0x78217de24f8cf32bull},
+      {44, 0, 56, 4, 0, 0, 0x1.0315691e579eap+19, 0x1.ecccccff0f6cdp+5, 0x1.79eep+22, 0x143caa9be33aa71full},
+  });
+}
+
+TEST(GoldenWaves, BeamCycleAware) {
+  expect_golden_waves(BeamSearchStrategy{}, true, {
+      {120, 76, 57, 12, 0, 0, 0x1.952105a34c187p+20, 0x1.501ff11708698p+7, 0x1.1b728p+24, 0x76af6c617c0caf92ull},
+      {48, 0, 58, 4, 0, 0, 0x1.15e15068c9034p+19, 0x1.0ccccce836f5ap+6, 0x1.79eep+22, 0x78217de24f8cf32bull},
+      {44, 0, 56, 4, 0, 0, 0x1.0315691e579eap+19, 0x1.ecccccff0f6cdp+5, 0x1.79eep+22, 0x143caa9be33aa71full},
+  });
+}
+
+/// A fleet of 32-vCPU / 32-GiB hosts named `hosts`, for hand-built
+/// planner cases.
+Fleet host32_fleet(std::initializer_list<const char*> hosts) {
+  Fleet fleet;
+  for (const char* name : hosts) {
+    cloud::HostSpec spec;
+    spec.name = name;
+    spec.vcpus = 32;
+    spec.ram_bytes = util::gib(32);
+    fleet.add_host(spec);
+  }
+  return fleet;
+}
+
+void add_fleet_vm(Fleet& fleet, const std::string& id, double cpu, double ram_gib, int host) {
+  FleetVm vm;
+  vm.id = id;
+  vm.vcpus = std::max(1.0, cpu);
+  vm.ram_bytes = util::gib(ram_gib);
+  vm.working_set_pages = 1000;
+  vm.cpu_now = cpu;
+  vm.dirty_now = 500.0;
+  fleet.add_vm(vm, host);
+}
+
+TEST(MigrationPlanner, SunkDonorPricesNoCandidates) {
+  // Two receivers at 37.5% CPU with 8 GiB committed, two donors. The
+  // first donor's largest VM (30 GiB) fits on neither receiver, so the
+  // donor sinks at its first VM and its small VM is never priced; the
+  // second donor still vacates.
+  const core::Wavm3Model model = make_model();
+  Fleet fleet = host32_fleet({"r0", "r1", "sunk", "light"});
+  add_fleet_vm(fleet, "load0", 12.0, 8.0, 0);
+  add_fleet_vm(fleet, "load1", 12.0, 8.0, 1);
+  add_fleet_vm(fleet, "big", 2.0, 30.0, 2);
+  add_fleet_vm(fleet, "small", 1.0, 1.0, 2);
+  add_fleet_vm(fleet, "a", 1.0, 1.0, 3);
+  add_fleet_vm(fleet, "b", 1.0, 1.0, 3);
+
+  MigrationPlanner planner(model, test_config());
+  const WavePlan plan = planner.plan_wave(fleet, BeamSearchStrategy{}, 0.0);
+  EXPECT_EQ(plan.donors_considered, 2);
+  // Two light VMs x two receivers; "small" on the sunk donor adds 0.
+  EXPECT_EQ(plan.candidates_scored, 4u);
+  EXPECT_EQ(plan.batch_rows, 2 * plan.candidates_scored);
+  EXPECT_EQ(plan.donors_vacated, 1);
+  ASSERT_EQ(plan.moves.size(), 2u);
+  for (const ScheduledMove& m : plan.moves) EXPECT_EQ(m.source, fleet.host_index("light"));
+  EXPECT_FALSE(fleet.host(fleet.host_index("light")).powered_on);
+  EXPECT_TRUE(fleet.host(fleet.host_index("sunk")).powered_on);
+}
+
+TEST(MigrationPlanner, DonorThatCannotBePlacedAtOncePricesNoCandidates) {
+  // r0 has 12 GiB free, r1 11 GiB with 8.8 vCPUs of headroom. Donor
+  // "pair" holds two 11.5-GiB VMs that each fit on r0 only, so they
+  // cannot both move: the donor sinks at its second VM, unpriced.
+  // Donor "tricky" can be placed, but only by sending its 11-GiB VM to
+  // r1 and its 9-vCPU VM to r0: first-fit puts the first on r0 and
+  // fails, beam search finds the placement. Its three candidates are
+  // priced under both strategies.
+  const core::Wavm3Model model = make_model();
+  for (const bool beam : {false, true}) {
+    SCOPED_TRACE(beam ? "beam" : "first-fit");
+    Fleet fleet = host32_fleet({"r0", "r1", "pair", "tricky"});
+    add_fleet_vm(fleet, "load0", 12.0, 20.0, 0);
+    add_fleet_vm(fleet, "load1", 20.0, 21.0, 1);
+    add_fleet_vm(fleet, "p1", 0.5, 11.5, 2);
+    add_fleet_vm(fleet, "p2", 0.5, 11.5, 2);
+    add_fleet_vm(fleet, "a", 0.5, 11.0, 3);
+    add_fleet_vm(fleet, "b", 9.0, 2.0, 3);
+
+    MigrationPlanner planner(model, test_config());
+    const WavePlan plan = beam ? planner.plan_wave(fleet, BeamSearchStrategy{}, 0.0)
+                               : planner.plan_wave(fleet, FirstFitStrategy{}, 0.0);
+    EXPECT_EQ(plan.donors_considered, 2);
+    EXPECT_EQ(plan.candidates_scored, 3u);
+    EXPECT_TRUE(fleet.host(fleet.host_index("pair")).powered_on);
+    if (!beam) {
+      EXPECT_TRUE(plan.moves.empty());
+      continue;
+    }
+    ASSERT_EQ(plan.moves.size(), 2u);
+    for (const ScheduledMove& m : plan.moves) {
+      EXPECT_EQ(m.source, fleet.host_index("tricky"));
+      EXPECT_EQ(m.target, fleet.host_index(fleet.vm(m.vm).id == "a" ? "r1" : "r0"));
+    }
+    EXPECT_FALSE(fleet.host(fleet.host_index("tricky")).powered_on);
+  }
 }
 
 // ------------------------------------------------- the vacate decision
